@@ -7,6 +7,7 @@ from pathlib import Path
 
 from .adversary import AttackConfig, AttackMode
 from .channel import ChannelModel, loss_db_to_T
+from .protocol import max_decoys_per_pair
 
 
 class ConfigError(ValueError):
@@ -87,7 +88,6 @@ class RunConfig:
     attack: str = "none"
     eta_path: float = 0.0
     eta_msg: float = 0.0
-    trials: int = 100_000
     threshold2: float | None = None
     threshold3: float | None = None
     traffic: str = "full"
@@ -106,6 +106,9 @@ class RunConfig:
         return config
 
     def _assign(self, key: str, value) -> None:
+        if key == "trials":
+            # Read by the overhead command only.
+            raise ConfigError("trials", "not used by simulate")
         if key == "pairs":
             self.pairs = _parse_pairs(value) if isinstance(value, str) else value
         else:
@@ -130,21 +133,27 @@ class RunConfig:
             raise ConfigError("H2", "must be non-negative")
         if self.H3 < 0:
             raise ConfigError("H3", "must be non-negative")
-        if self.H2 + self.H3 > self.K:
-            raise ConfigError("K", f"needs H2 + H3 <= K, got {self.H2} + {self.H3} > {self.K}")
+        if self.H2 + self.H3 > max_decoys_per_pair(self.K):
+            raise ConfigError(
+                "K",
+                f"needs H2 + H3 <= (K + 1) // 2 = {max_decoys_per_pair(self.K)} so every "
+                f"decoy's return cycle is free, got {self.H2} + {self.H3}",
+            )
         if self.attack not in ("none", "path", "message", "both"):
             raise ConfigError("attack", f"must be none/path/message/both, got {self.attack!r}")
         if self.traffic not in ("full", "silent"):
             raise ConfigError("traffic", f"must be full or silent, got {self.traffic!r}")
-        if self.trials < 1:
-            raise ConfigError("trials", "must be at least 1")
         for key in ("threshold2", "threshold3"):
             value = getattr(self, key)
             if value is not None and not 0.0 <= value <= 0.5:
                 raise ConfigError(key, f"must be in [0, 0.5], got {value}")
         if self.num_nodes < 2:
             raise ConfigError("num_nodes", "must be at least 2")
+        seen: set[tuple[int, int]] = set()
         for sender, receiver in self.pairs:
+            if (sender, receiver) in seen:
+                raise ConfigError("pairs", f"{sender}-{receiver} is given more than once")
+            seen.add((sender, receiver))
             if sender == receiver:
                 raise ConfigError("pairs", f"sender equals receiver in {sender}-{receiver}")
             if not (0 <= sender < self.num_nodes and 0 <= receiver < self.num_nodes):

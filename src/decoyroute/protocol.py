@@ -68,23 +68,53 @@ class SlotAssignment:
             raise ValueError("basis is required for Type 2 slots and only for them")
 
 
+@dataclass(frozen=True, eq=False)
+class PairSchedule:
+    """One node pair's decoys as parallel arrays sorted by cycle.
+
+    ``type2`` marks message-integrity decoys (the rest are Type 3);
+    ``z_basis`` marks the Type 2 decoys scheduled in the Z basis.
+    """
+
+    cycle: np.ndarray
+    type2: np.ndarray
+    z_basis: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cycle)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PairSchedule):
+            return NotImplemented
+        return all(
+            mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+            for mine, theirs in (
+                (self.cycle, other.cycle),
+                (self.type2, other.type2),
+                (self.z_basis, other.z_basis),
+            )
+        )
+
+
 @dataclass(frozen=True)
 class Schedule:
-    """The pre-shared assignment of clock cycles to decoy slots."""
+    """The pre-shared assignment of clock cycles to decoy slots, per node pair."""
 
     K: int
-    assignments: tuple[SlotAssignment, ...]
+    assignments: dict[tuple[int, int], PairSchedule]
     shared_seed: int
 
-    def for_pair(self, sender: int, receiver: int) -> dict[int, SlotAssignment]:
-        return {
-            a.cycle: a
-            for a in self.assignments
-            if a.sender == sender and a.receiver == receiver
-        }
+    def for_pair(self, sender: int, receiver: int) -> PairSchedule:
+        return self.assignments[(sender, receiver)]
 
     def count(self, slot_type: SlotType) -> int:
-        return sum(1 for a in self.assignments if a.slot_type is slot_type)
+        """Scheduled slots of ``slot_type`` over all pairs; payloads are never scheduled."""
+        if slot_type is SlotType.TYPE1:
+            return 0
+        type2 = sum(int(np.count_nonzero(p.type2)) for p in self.assignments.values())
+        if slot_type is SlotType.TYPE2:
+            return type2
+        return sum(len(p) for p in self.assignments.values()) - type2
 
 
 @dataclass
@@ -132,7 +162,7 @@ class Type1Record:
     eve_learned_endpoints: bool
 
 
-def _max_slots_per_pair(K: int) -> int:
+def max_decoys_per_pair(K: int) -> int:
     # Each decoy occupies its cycle plus the next (return packet), so a
     # pair's reserved cycles must be pairwise non-adjacent.
     return (K + 1) // 2
@@ -160,6 +190,7 @@ def generate_schedule(
     Per pair, the decoy cycles are drawn uniformly over the conflict-free
     subsets of [0, K) (no decoy may sit on the return cycle of another),
     then split between Type 2 (with a uniform basis each) and Type 3.
+    Each pair may appear once; ``(a, b)`` and ``(b, a)`` are distinct pairs.
     """
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
@@ -168,28 +199,28 @@ def generate_schedule(
     total = h2_per_pair + h3_per_pair
     if total > K:
         raise ValueError(f"over-subscribed schedule: {total} decoy slots > K = {K}")
-    if total > _max_slots_per_pair(K):
+    if total > max_decoys_per_pair(K):
         raise ValueError(
             f"over-subscribed schedule: {total} decoy slots need return cycles, "
-            f"at most {_max_slots_per_pair(K)} fit in K = {K}"
+            f"at most {max_decoys_per_pair(K)} fit in K = {K}"
         )
 
-    assignments: list[SlotAssignment] = []
+    assignments: dict[tuple[int, int], PairSchedule] = {}
     for pair_index, (sender, receiver) in enumerate(node_pairs):
         if sender == receiver:
             raise ValueError(f"pair {pair_index} has sender == receiver == {sender}")
+        if (sender, receiver) in assignments:
+            raise ValueError(f"pair {pair_index} repeats the pair {sender}-{receiver}")
         rng = np.random.default_rng(np.random.SeedSequence((shared_seed, pair_index)))
-        cycles = _draw_spaced_cycles(rng, K, total)
-        cycles = rng.permutation(cycles)
-        for cycle in cycles[:h2_per_pair]:
-            basis = Basis.Z if rng.random() < 0.5 else Basis.X
-            assignments.append(
-                SlotAssignment(SlotType.TYPE2, int(cycle), sender, receiver, basis)
-            )
-        for cycle in cycles[h2_per_pair:]:
-            assignments.append(SlotAssignment(SlotType.TYPE3, int(cycle), sender, receiver))
-    assignments.sort(key=lambda a: (a.cycle, a.sender, a.receiver))
-    return Schedule(K=K, assignments=tuple(assignments), shared_seed=shared_seed)
+        cycles = rng.permutation(_draw_spaced_cycles(rng, K, total))
+        type2 = np.arange(total) < h2_per_pair
+        z_basis = np.zeros(total, dtype=bool)
+        z_basis[:h2_per_pair] = rng.random(h2_per_pair) < 0.5
+        order = np.argsort(cycles)
+        assignments[(sender, receiver)] = PairSchedule(
+            cycles[order], type2[order], z_basis[order]
+        )
+    return Schedule(K=K, assignments=assignments, shared_seed=shared_seed)
 
 
 def _eve_decisions(
@@ -427,25 +458,17 @@ def run_simulation(
     total_type1 = 0
     for pair_index, (sender, receiver) in enumerate(node_pairs):
         streams = Streams.from_seed(seed, pair_index)
-        scheduled = schedule.for_pair(sender, receiver)
+        decoys = schedule.for_pair(sender, receiver)
         stats = DisturbanceStats()
         type1_slots = 0
         type1_delivered = 0
         learned_type1 = 0
 
-        busy_until = -1
-        for cycle in range(K):
-            assignment = scheduled.get(cycle)
-            if assignment is not None:
-                if assignment.slot_type is SlotType.TYPE2:
-                    run_type2_slot(assignment, channel, eve, streams, stats)
-                else:
-                    run_type3_slot(assignment, channel, eve, streams, stats)
-                busy_until = cycle + 1
-                continue
-            if cycle <= busy_until:
-                continue
-            if traffic == "full" and (cycle + 1) not in scheduled:
+        def run_payloads(stop: int) -> None:
+            # Greedy payload round trips from the first free cycle, one
+            # every two cycles, each forward cycle before ``stop``.
+            nonlocal type1_slots, type1_delivered, learned_type1
+            for cycle in range(free, stop, 2):
                 payload = SlotAssignment(SlotType.TYPE1, cycle, sender, receiver)
                 bit = int(streams.measurement.random() < 0.5)
                 record = run_type1_slot(payload, bit, channel, eve, streams)
@@ -453,7 +476,25 @@ def run_simulation(
                 type1_delivered += int(record.delivered)
                 learned_type1 += int(record.eve_learned_endpoints)
                 type1_keys.add((cycle, sender, receiver))
-                busy_until = cycle + 1
+
+        free = 0
+        for cycle, is_type2, z_basis in zip(
+            decoys.cycle.tolist(), decoys.type2.tolist(), decoys.z_basis.tolist()
+        ):
+            if traffic == "full":
+                # A payload's return may not land on the decoy's cycle.
+                run_payloads(cycle - 1)
+            if is_type2:
+                basis = Basis.Z if z_basis else Basis.X
+                assignment = SlotAssignment(SlotType.TYPE2, cycle, sender, receiver, basis)
+                run_type2_slot(assignment, channel, eve, streams, stats)
+            else:
+                assignment = SlotAssignment(SlotType.TYPE3, cycle, sender, receiver)
+                run_type3_slot(assignment, channel, eve, streams, stats)
+            free = cycle + 2
+        if traffic == "full":
+            # The last payload's return may fall on cycle K.
+            run_payloads(K)
 
         d2_hat, d3_hat = estimate_disturbance(stats)
         detected = detect_eavesdropper(d2_hat, d3_hat, threshold2, threshold3)

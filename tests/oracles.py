@@ -109,6 +109,37 @@ def leak_threshold_by_scan(gamma: float, mu: float, step: float = 1e-4) -> float
             raise RuntimeError("threshold scan ran away")
 
 
+def scalar_schedule(
+    K: int,
+    node_pairs: list[tuple[int, int]],
+    h2_per_pair: int,
+    h3_per_pair: int,
+    shared_seed: int,
+) -> list[tuple[int, int, int, str, str | None]]:
+    """The decoy schedule drawn one assignment at a time.
+
+    Same per-pair stream and draw order as the library (spaced cycles, a
+    permutation, then one scalar basis draw per Type 2 decoy), with every
+    pair's ``(cycle, sender, receiver, slot type, basis)`` rows merged by
+    one global sort on ``(cycle, sender, receiver)``.
+    """
+    total = h2_per_pair + h3_per_pair
+    rows = []
+    for pair_index, (sender, receiver) in enumerate(node_pairs):
+        rng = np.random.default_rng(np.random.SeedSequence((shared_seed, pair_index)))
+        cycles = []
+        if total:
+            base = np.sort(rng.choice(K - total + 1, size=total, replace=False))
+            cycles = rng.permutation(base + np.arange(total))
+        for cycle in cycles[:h2_per_pair]:
+            basis = "Z" if rng.random() < 0.5 else "X"
+            rows.append((int(cycle), sender, receiver, "type2", basis))
+        for cycle in cycles[h2_per_pair:]:
+            rows.append((int(cycle), sender, receiver, "type3", None))
+    rows.sort(key=lambda row: row[:3])
+    return rows
+
+
 def binomial_tolerance(p: float, n: int, n_sigma: float = 4.0) -> float:
     """n_sigma binomial standard errors around probability p."""
     return n_sigma * math.sqrt(p * (1.0 - p) / n)

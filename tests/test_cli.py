@@ -1,3 +1,4 @@
+import hashlib
 import io
 import re
 
@@ -130,10 +131,72 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys):
     assert code == EXIT_CONFIG_ERROR
     assert "no_such_key" in capsys.readouterr().err
 
+    # The overhead command reads trials; simulate must not ignore it silently.
+    config.write_text("trials = 5\n")
+    code, _ = run_cli("simulate", "--config", str(config))
+    assert code == EXIT_CONFIG_ERROR
+    assert "config key 'trials'" in capsys.readouterr().err
+    code, _ = run_cli("overhead", "--config", str(config), "--K", "50", "--H3", "5")
+    assert code == EXIT_OK
 
-def test_simulate_oversubscription_is_config_error():
+    code, _ = run_cli("simulate", "--K", "20", "--H2", "2", "--H3", "2", "--pairs", "0-1,0-1")
+    assert code == EXIT_CONFIG_ERROR
+    assert "config key 'pairs'" in capsys.readouterr().err
+
+
+def test_simulate_oversubscription_is_config_error(capsys):
+    # More decoys than cycles.
     code, _ = run_cli("simulate", "--K", "4", "--H2", "3", "--H3", "2")
     assert code == EXIT_CONFIG_ERROR
+    assert "config key 'K'" in capsys.readouterr().err
+    # Fewer decoys than cycles, but their return cycles do not fit.
+    code, _ = run_cli("simulate", "--K", "20", "--H2", "6", "--H3", "6")
+    assert code == EXIT_CONFIG_ERROR
+    assert "config key 'K'" in capsys.readouterr().err
+    code, _ = run_cli("simulate", "--K", "21", "--H2", "5", "--H3", "6", "--T", "1")
+    assert code == EXIT_OK
+
+
+def test_simulate_reversed_pairs_are_distinct():
+    code, text = run_cli(
+        "simulate", "--K", "20", "--H2", "2", "--H3", "2", "--pairs", "0-1,1-0", "--T", "1"
+    )
+    assert code == EXIT_OK
+    rows = [row.split(",") for row in text.strip().split("\n\n")[0].splitlines()[1:]]
+    assert [(row[0], row[1], row[4]) for row in rows] == [("0-1", "2", "2"), ("1-0", "2", "2")]
+
+
+# sha256 of stdout for seeded runs, recorded before the schedule became
+# per-pair arrays: the schedule and the simulation must not move a draw.
+GOLDEN_SIMULATE_DIGESTS = {
+    "--K 400000 --H2 20000 --H3 20000 --loss-db 1.0 --gamma 0.01 --mu 0.01 --attack both "
+    "--eta-path 0.5 --eta-msg 0.5 --seed 12345":
+        "d62b807893ff206257a8d33ef1e079f23f848e41078954a37e3957817517f221",
+    "--num-nodes 17 --pairs " + ",".join(f"0-{i}" for i in range(1, 17))
+    + " --K 50000 --H2 6000 --H3 6000 --T 0.8 --gamma 0.01 --mu 0.01 --traffic silent"
+    " --seed 12345":
+        "407d51649a1a5b269b157fdb7bfc24f74ee7399bad9c1fcf5f9bdca86cbe70e5",
+    "--K 1000 --H2 250 --H3 250 --T 0.9 --attack path --eta-path 0.3 --seed 7":
+        "423f1b6cb8713defccbe0ebafdee74532247d624222e285628d604ca56d6d2e2",
+    "--K 21 --H2 5 --H3 6 --num-nodes 3 --pairs 0-1,1-0,2-1 --attack message --eta-msg 1 "
+    "--seed 1":
+        "18267a185e924c836995a9105d7060bf7cfb5b88b5a85773bd695f34acec4861",
+    "--K 1 --H2 0 --H3 1 --seed 2":
+        "94652b477019dafe6574d9c1cc3ee478c9c372729383a6ef0f34bcfd927d60c2",
+    "--K 1 --H2 0 --H3 0 --seed 2":
+        "6bd5ea4971ae14f3bafedcff8575c2dcab28622df54b0061c790a4f7717b8937",
+    "--K 2 --H2 0 --H3 0 --seed 2":
+        "6bd5ea4971ae14f3bafedcff8575c2dcab28622df54b0061c790a4f7717b8937",
+}
+
+
+def test_simulate_output_matches_golden_digests():
+    digests = {}
+    for args in GOLDEN_SIMULATE_DIGESTS:
+        code, text = run_cli("simulate", *args.split())
+        assert code == EXIT_OK, args
+        digests[args] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == GOLDEN_SIMULATE_DIGESTS
 
 
 def test_overhead_table_and_sizing():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from decoyroute import (
@@ -19,6 +20,7 @@ from decoyroute import (
     run_type2_slot,
     run_type3_slot,
 )
+from decoyroute.protocol import PairSchedule
 
 import oracles
 
@@ -42,12 +44,48 @@ class TestGenerateSchedule:
         schedule = generate_schedule(10, [(0, 1)], 2, 3, shared_seed=5)
         assert schedule.count(SlotType.TYPE2) == 2
         assert schedule.count(SlotType.TYPE3) == 3
-        assert schedule.K - len(schedule.assignments) == 5
+        assert schedule.K - len(schedule.for_pair(0, 1).cycle) == 5
 
     def test_deterministic_in_shared_seed(self):
         first = generate_schedule(50, [(0, 1), (2, 3)], 4, 4, shared_seed=9)
         second = generate_schedule(50, [(0, 1), (2, 3)], 4, 4, shared_seed=9)
         assert first == second
+        assert first != generate_schedule(50, [(0, 1), (2, 3)], 4, 4, shared_seed=10)
+
+    @pytest.mark.parametrize(
+        "K, node_pairs, h2, h3",
+        [
+            (10, [(0, 1)], 2, 3),
+            (21, [(0, 1), (1, 0), (2, 1)], 5, 6),
+            (1000, [(0, i) for i in range(1, 9)], 120, 130),
+            (9, [(3, 4), (4, 3)], 0, 5),
+            (7, [(0, 1)], 4, 0),
+            (1, [(0, 1)], 0, 0),
+        ],
+    )
+    def test_matches_scalar_draw_oracle(self, K, node_pairs, h2, h3):
+        for seed in (0, 7, 12345):
+            schedule = generate_schedule(K, node_pairs, h2, h3, shared_seed=seed)
+            rows = []
+            for (sender, receiver), decoys in schedule.assignments.items():
+                assert np.all(np.diff(decoys.cycle) > 0)
+                assert not np.any(decoys.z_basis & ~decoys.type2)
+                for cycle, is_type2, z_basis in zip(
+                    decoys.cycle.tolist(), decoys.type2.tolist(), decoys.z_basis.tolist()
+                ):
+                    basis = ("Z" if z_basis else "X") if is_type2 else None
+                    kind = "type2" if is_type2 else "type3"
+                    rows.append((cycle, sender, receiver, kind, basis))
+            rows.sort(key=lambda row: row[:3])
+            assert rows == oracles.scalar_schedule(K, node_pairs, h2, h3, seed)
+
+    def test_pair_schedule_equality_is_exact(self):
+        decoys = generate_schedule(40, [(0, 1)], 5, 5, shared_seed=1).for_pair(0, 1)
+        flipped = decoys.z_basis.copy()
+        flipped[0] = not flipped[0]
+        assert decoys == PairSchedule(decoys.cycle.copy(), decoys.type2.copy(), decoys.z_basis.copy())
+        assert decoys != PairSchedule(decoys.cycle, decoys.type2, flipped)
+        assert decoys != PairSchedule(decoys.cycle.astype(np.int32), decoys.type2, decoys.z_basis)
 
     def test_over_subscription_rejected(self):
         with pytest.raises(ValueError, match="over-subscribed"):
@@ -61,27 +99,35 @@ class TestGenerateSchedule:
     def test_no_decoy_on_anothers_return_cycle(self):
         for seed in range(20):
             schedule = generate_schedule(40, [(0, 1)], 5, 5, shared_seed=seed)
-            cycles = sorted(a.cycle for a in schedule.assignments)
-            assert all(b - a >= 2 for a, b in zip(cycles, cycles[1:]))
+            cycles = np.sort(schedule.for_pair(0, 1).cycle)
+            assert np.all(np.diff(cycles) >= 2)
 
     def test_distinct_seeds_give_distinct_cycle_sets(self):
         differing = 0
         for seed in range(100):
             first = generate_schedule(500, [(0, 1)], 10, 10, shared_seed=seed)
             second = generate_schedule(500, [(0, 1)], 10, 10, shared_seed=seed + 10_000)
-            differing += {a.cycle for a in first.assignments} != {
-                a.cycle for a in second.assignments
-            }
+            differing += set(first.for_pair(0, 1).cycle.tolist()) != set(
+                second.for_pair(0, 1).cycle.tolist()
+            )
         assert differing == 100
 
     def test_type2_basis_uniform(self):
         schedule = generate_schedule(4000, [(0, 1)], 1000, 0, shared_seed=3)
-        z_count = sum(a.basis is Basis.Z for a in schedule.assignments)
+        decoys = schedule.for_pair(0, 1)
+        z_count = int(np.count_nonzero(decoys.z_basis[decoys.type2]))
         assert z_count / 1000 == pytest.approx(0.5, abs=oracles.binomial_tolerance(0.5, 1000))
 
     def test_rejects_self_pair(self):
         with pytest.raises(ValueError, match="sender == receiver"):
             generate_schedule(10, [(2, 2)], 1, 1, shared_seed=0)
+
+    def test_rejects_repeated_pair(self):
+        with pytest.raises(ValueError, match="repeats the pair 0-1"):
+            generate_schedule(20, [(0, 1), (2, 1), (0, 1)], 2, 2, shared_seed=0)
+        schedule = generate_schedule(20, [(0, 1), (1, 0)], 2, 2, shared_seed=0)
+        assert list(schedule.assignments) == [(0, 1), (1, 0)]
+        assert schedule.count(SlotType.TYPE2) == 4
 
 
 class TestType1Slot:
