@@ -70,7 +70,6 @@ from .protocol import (
     Streams,
     default_thresholds,
     detect_eavesdropper,
-    estimate_disturbance,
     generate_schedule,
     run_simulation,
     run_type1_slot,
@@ -84,7 +83,6 @@ from .quantum import (
     SpatioTemporalMode,
     interfere_path_packet,
     measure_qubit,
-    prepare_bb84,
     prepare_path_packet,
 )
 

@@ -66,16 +66,13 @@ class AttackConfig:
 class EveLedger:
     """Append-only record of Eve's interceptions within one run."""
 
-    intercepted_cycles: set[int] = field(default_factory=set)
     learned_endpoints: list[tuple[int, int, int]] = field(default_factory=list)
     learned_bits: list[tuple[int, int, Basis]] = field(default_factory=list)
 
     def record_endpoints(self, cycle: int, sender: int, receiver: int) -> None:
-        self.intercepted_cycles.add(cycle)
         self.learned_endpoints.append((cycle, sender, receiver))
 
     def record_bit(self, cycle: int, bit: int, basis: Basis) -> None:
-        self.intercepted_cycles.add(cycle)
         self.learned_bits.append((cycle, bit, basis))
 
 

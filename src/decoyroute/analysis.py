@@ -11,9 +11,11 @@ which is why the leak grows with channel loss even without an attacker.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .channel import loss_db_to_T
 
 
 class AlreadySaturatedError(ValueError):
@@ -65,7 +67,19 @@ def leaked_fraction_uncapped(D: float, e: float) -> float:
     """The leak expression 2D(1 + h(e)) without the cap at one."""
     _check_half("D", D)
     _check_half("e", e)
+    return _leak(D, e)
+
+
+def _leak(D: float, e: float) -> float:
+    # Unchecked: the loss curves reach D > 0.5 when gamma > 0.5.
     return 2.0 * D * (1.0 + binary_entropy(e))
+
+
+def _uncapped_point(gamma: float, mu: float, loss_db: float) -> SecurityPoint:
+    T = loss_db_to_T(loss_db)
+    D = baseline_disturbance(gamma, T)
+    e = message_error(mu, T)
+    return SecurityPoint(loss_db, T, D, e, binary_entropy(e), _leak(D, e))
 
 
 def inferred_eta(D3_hat: float) -> float:
@@ -88,18 +102,9 @@ def security_curve(
         raise ValueError(f"steps must be at least 2, got {steps}")
     points = []
     for loss_db in np.linspace(loss_min_db, loss_max_db, steps):
-        loss_db = float(loss_db)
-        T = 10.0 ** (-loss_db / 10.0)
-        D = baseline_disturbance(gamma, T)
-        e = message_error(mu, T)
-        h_e = binary_entropy(e)
-        g = min(1.0, 2.0 * D * (1.0 + h_e))
-        points.append(SecurityPoint(loss_db, T, D, e, h_e, g))
+        point = _uncapped_point(gamma, mu, float(loss_db))
+        points.append(replace(point, g=min(1.0, point.g)))
     return points
-
-
-# Interface kept close to the curve-drawing subcommand it backs.
-figure2_curve = security_curve
 
 
 def loss_threshold(gamma: float, mu: float, tol: float = 0.01) -> float:
@@ -114,10 +119,7 @@ def loss_threshold(gamma: float, mu: float, tol: float = 0.01) -> float:
         raise ValueError(f"tol must be positive, got {tol}")
 
     def uncapped(loss_db: float) -> float:
-        T = 10.0 ** (-loss_db / 10.0)
-        D = baseline_disturbance(gamma, T)
-        e = message_error(mu, T)
-        return 2.0 * D * (1.0 + binary_entropy(e))
+        return _uncapped_point(gamma, mu, loss_db).g
 
     if uncapped(0.0) >= 1.0:
         raise AlreadySaturatedError(

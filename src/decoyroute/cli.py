@@ -15,23 +15,20 @@ import sys
 from typing import IO
 
 from . import analysis, constraints, overhead
-from .config import ConfigError, RunConfig, coerce_value, parse_config_file
+from .config import DEFAULT_SEED, KEYS, ConfigError, RunConfig, layer
 from .protocol import run_simulation
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
-DEFAULT_SEED = 12345
-
-
-def _resolve(flag_value, file_values: dict[str, str] | None, key: str, fallback):
-    """Flag wins, then the config file, then the built-in default."""
-    if flag_value is not None:
-        return flag_value
-    if file_values and key in file_values:
-        return coerce_value(key, file_values[key])
-    return fallback
+# The config keys each subcommand reads, with their defaults; simulate reads
+# the fields of RunConfig.
+DEFAULTS = {
+    "figure2": {"gamma": 0.01, "mu": 0.01},
+    "overhead": {"K": 100, "H3": 20, "trials": 100_000, "seed": DEFAULT_SEED},
+    "verify": {"seed": DEFAULT_SEED},
+}
 
 
 def fmt(value) -> str:
@@ -50,12 +47,12 @@ def _row(*cells) -> str:
 
 
 def cmd_figure2(args: argparse.Namespace, out: IO[str]) -> int:
-    if args.loss_min > args.loss_max or args.steps < 2:
-        raise ConfigError("loss_db", "need loss-min <= loss-max and steps >= 2")
-    file_values = parse_config_file(args.config) if args.config else None
-    gamma = _resolve(args.gamma, file_values, "gamma", 0.01)
-    mu = _resolve(args.mu, file_values, "mu", 0.01)
-    points = analysis.security_curve(gamma, mu, args.loss_min, args.loss_max, args.steps)
+    if not 0 <= args.loss_min <= args.loss_max or args.steps < 2:
+        raise ConfigError("loss_db", "need 0 <= loss-min <= loss-max and steps >= 2")
+    values = layer("figure2", DEFAULTS["figure2"], args.config, vars(args))
+    points = analysis.security_curve(
+        values["gamma"], values["mu"], args.loss_min, args.loss_max, args.steps
+    )
     lines = ["loss_db,T,D,e,h_e,g"]
     for p in points:
         lines.append(_row(p.loss_db, p.T, p.D, p.e, p.h_e, p.g))
@@ -64,16 +61,7 @@ def cmd_figure2(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, out: IO[str]) -> int:
-    file_values = parse_config_file(args.config) if args.config else None
-    flags = {
-        key: getattr(args, key)
-        for key in (
-            "seed", "K", "num_nodes", "pairs", "H2", "H3", "gamma", "mu", "T",
-            "loss_db", "attack", "eta_path", "eta_msg", "threshold2", "threshold3",
-            "traffic",
-        )
-    }
-    config = RunConfig.build(file_values, flags)
+    config = RunConfig.build(args.config, vars(args))
 
     result = run_simulation(
         K=config.K,
@@ -121,11 +109,8 @@ def cmd_simulate(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_overhead(args: argparse.Namespace, out: IO[str]) -> int:
-    file_values = parse_config_file(args.config) if args.config else None
-    K = _resolve(args.K, file_values, "K", 100)
-    H3 = _resolve(args.H3, file_values, "H3", 20)
-    trials = _resolve(args.trials, file_values, "trials", 100_000)
-    seed = _resolve(args.seed, file_values, "seed", DEFAULT_SEED)
+    values = layer("overhead", DEFAULTS["overhead"], args.config, vars(args))
+    K, H3, trials, seed = values["K"], values["H3"], values["trials"], values["seed"]
 
     if args.m is not None and args.eta is not None:
         raise ConfigError("m", "give either --m or --eta, not both")
@@ -137,7 +122,7 @@ def cmd_overhead(args: argparse.Namespace, out: IO[str]) -> int:
         m = args.m if args.m is not None else round(0.2 * K)
     if not 0 <= m <= K:
         raise ConfigError("m", f"must be in [0, K], got {m}")
-    if not 0 <= H3 <= K:
+    if H3 > K:
         raise ConfigError("H3", f"must be in [0, K], got {H3}")
 
     exact = overhead.exact_escape_prob(K, H3, m)
@@ -167,8 +152,7 @@ def cmd_overhead(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
-    file_values = parse_config_file(args.config) if args.config else None
-    seed = _resolve(args.seed, file_values, "seed", DEFAULT_SEED)
+    seed = layer("verify", DEFAULTS["verify"], args.config, vars(args))["seed"]
     checks, scatter = constraints.run_verification(
         dim=args.dim,
         samples=args.samples,
@@ -194,52 +178,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None, help=f"default {DEFAULT_SEED}")
+    def add_command(name: str, summary: str, defaults: dict, func) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
         p.add_argument("--config", type=str, default=None, help="key = value config file")
+        # Config keys arrive as raw text and are parsed and checked by config.layer.
+        for key, default in defaults.items():
+            p.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                choices=KEYS[key].choices or None,
+                help=None if default is None else f"default {default}",
+            )
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("figure2", help="leak-vs-loss curve as CSV")
-    add_common(p)
-    p.add_argument("--gamma", type=float, default=None, help="default 0.01")
-    p.add_argument("--mu", type=float, default=None, help="default 0.01")
+    p = add_command("figure2", "leak-vs-loss curve as CSV", DEFAULTS["figure2"], cmd_figure2)
+    p.add_argument("--seed", type=int, default=None, help="unused: the curve is closed-form")
     p.add_argument("--loss-min", dest="loss_min", type=float, default=0.0)
     p.add_argument("--loss-max", dest="loss_max", type=float, default=3.0)
     p.add_argument("--steps", type=int, default=61)
-    p.set_defaults(func=cmd_figure2)
 
-    p = sub.add_parser("simulate", help="run the clocked protocol once")
-    add_common(p)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--num-nodes", dest="num_nodes", type=int, default=None)
-    p.add_argument("--pairs", type=str, default=None, help="comma list like 0-1,0-2")
-    p.add_argument("--H2", type=int, default=None)
-    p.add_argument("--H3", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--loss-db", dest="loss_db", type=float, default=None)
-    p.add_argument("--attack", choices=("none", "path", "message", "both"), default=None)
-    p.add_argument("--eta-path", dest="eta_path", type=float, default=None)
-    p.add_argument("--eta-msg", dest="eta_msg", type=float, default=None)
-    p.add_argument("--threshold2", type=float, default=None)
-    p.add_argument("--threshold3", type=float, default=None)
-    p.add_argument("--traffic", choices=("full", "silent"), default=None)
-    p.set_defaults(func=cmd_simulate)
+    add_command("simulate", "run the clocked protocol once", vars(RunConfig()), cmd_simulate)
 
-    p = sub.add_parser("overhead", help="escape probabilities and decoy sizing")
-    add_common(p)
-    p.add_argument("--K", type=int, default=None, help="default 100")
-    p.add_argument("--H3", type=int, default=None, help="default 20")
+    p = add_command(
+        "overhead", "escape probabilities and decoy sizing", DEFAULTS["overhead"], cmd_overhead
+    )
     p.add_argument("--m", type=int, default=None, help="intercepted slot count")
     p.add_argument("--eta", type=float, default=None, help="intercepted fraction (sets m)")
-    p.add_argument("--trials", type=int, default=None, help="default 100000")
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--eta-max", dest="eta_max", type=float, default=0.1)
-    p.set_defaults(func=cmd_overhead)
 
-    p = sub.add_parser("verify", help="attack-unitary constraint checks")
-    add_common(p)
+    p = add_command("verify", "attack-unitary constraint checks", DEFAULTS["verify"], cmd_verify)
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--scatter-samples", dest="scatter_samples", type=int, default=1000)
@@ -248,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="negative-control hook: skip the return-leg constraint",
     )
-    p.set_defaults(func=cmd_verify)
 
     return parser
 

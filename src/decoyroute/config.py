@@ -1,13 +1,22 @@
-"""Run configuration: flat key=value files plus flag overrides (flags win)."""
+"""Run configuration: flat key=value files plus flag overrides (flags win).
+
+Every subcommand layers its values the same way (:func:`layer`): its own
+defaults, then the ``--config`` file, then the flags the user gave.  Each
+key's type and range are declared once, in :data:`KEYS`.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, Mapping
 
 from .adversary import AttackConfig, AttackMode
-from .channel import ChannelModel, loss_db_to_T
+from .channel import ChannelModel
 from .protocol import max_decoys_per_pair
+
+DEFAULT_SEED = 12345
 
 
 class ConfigError(ValueError):
@@ -18,10 +27,62 @@ class ConfigError(ValueError):
         super().__init__(f"config key '{key}': {message}")
 
 
-_INT_KEYS = {"seed", "K", "num_nodes", "H2", "H3", "trials"}
-_FLOAT_KEYS = {"gamma", "mu", "T", "loss_db", "eta_path", "eta_msg", "threshold2", "threshold3"}
-_STR_KEYS = {"attack", "pairs", "traffic"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+def _parse_pairs(value: str) -> list[tuple[int, int]]:
+    pairs = []
+    for item in value.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        parts = item.split("-")
+        if len(parts) != 2:
+            raise ValueError(f"expected entries like '0-1', got {item!r}")
+        pairs.append((int(parts[0]), int(parts[1])))
+    if not pairs:
+        raise ValueError("no pairs given")
+    return pairs
+
+
+@dataclass(frozen=True)
+class Key:
+    """A config key: the parser for its text and the values it may take."""
+
+    parse: Callable[[str], Any]
+    lo: float | None = None
+    hi: float = math.inf
+    choices: tuple[str, ...] = ()
+
+    def check(self, key: str, value) -> None:
+        if value is None:
+            return  # an optional key left unset
+        if self.choices and value not in self.choices:
+            raise ConfigError(key, f"must be one of {'/'.join(self.choices)}, got {value!r}")
+        if self.lo is not None and not self.lo <= value <= self.hi:
+            bound = f"in [{self.lo:g}, {self.hi:g}]" if self.hi < math.inf else f">= {self.lo:g}"
+            raise ConfigError(key, f"must be {bound}, got {value}")
+
+
+_UNIT = Key(float, 0.0, 1.0)
+_THRESHOLD = Key(float, 0.0, 0.5)
+
+KEYS: dict[str, Key] = {
+    "seed": Key(int, 0),
+    "K": Key(int, 1),
+    "num_nodes": Key(int, 2),
+    "pairs": Key(_parse_pairs),
+    "H2": Key(int, 0),
+    "H3": Key(int, 0),
+    "gamma": _UNIT,
+    "mu": _UNIT,
+    "T": _UNIT,
+    "loss_db": Key(float, 0.0),
+    "attack": Key(str, choices=tuple(mode.value for mode in AttackMode)),
+    "eta_path": _UNIT,
+    "eta_msg": _UNIT,
+    "threshold2": _THRESHOLD,
+    "threshold3": _THRESHOLD,
+    "traffic": Key(str, choices=("full", "silent")),
+    "trials": Key(int, 1),
+}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -34,48 +95,48 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(line.split()[0], f"line {lineno} is not a key = value pair")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(key, "unknown key")
         values[key] = value
     return values
 
 
 def coerce_value(key: str, value: str):
-    """Parse a raw config-file value into the key's declared type."""
+    """Parse a raw value, from a config file or a flag, into the key's type."""
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
+        return KEYS[key].parse(value)
     except ValueError as exc:
         raise ConfigError(key, f"cannot parse {value!r}: {exc}") from None
-    return value
 
 
-def _parse_pairs(value: str) -> list[tuple[int, int]]:
-    pairs = []
-    for item in value.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        parts = item.split("-")
-        if len(parts) != 2:
-            raise ConfigError("pairs", f"expected entries like '0-1', got {item!r}")
-        try:
-            sender, receiver = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ConfigError("pairs", f"expected integer node ids, got {item!r}") from None
-        pairs.append((sender, receiver))
-    if not pairs:
-        raise ConfigError("pairs", "no pairs given")
-    return pairs
+def layer(
+    command: str, defaults: Mapping[str, Any], config_path: str | None, flags: Mapping[str, Any]
+) -> dict[str, Any]:
+    """Layer ``command``'s defaults, then the config file, then non-``None`` flags.
+
+    Only the keys in ``defaults`` are read: a file key outside them is an
+    error, other flags are ignored.  Flag values are raw strings, parsed
+    like file values.  Every resulting value is range-checked.
+    """
+    values = dict(defaults)
+    if config_path:
+        for key, raw in parse_config_file(config_path).items():
+            if key not in defaults:
+                raise ConfigError(key, f"not used by {command}")
+            values[key] = coerce_value(key, raw)
+    for key in defaults:
+        if flags.get(key) is not None:
+            values[key] = coerce_value(key, flags[key])
+    for key, value in values.items():
+        KEYS[key].check(key, value)
+    return values
 
 
 @dataclass
 class RunConfig:
     """Everything one simulation run needs, validated."""
 
-    seed: int = 12345
+    seed: int = DEFAULT_SEED
     K: int = 1000
     num_nodes: int = 2
     pairs: list[tuple[int, int]] = field(default_factory=lambda: [(0, 1)])
@@ -93,62 +154,22 @@ class RunConfig:
     traffic: str = "full"
 
     @classmethod
-    def build(cls, file_values: dict[str, str] | None, flag_values: dict) -> "RunConfig":
-        """Layer defaults, then config-file values, then flags."""
-        config = cls()
-        if file_values:
-            for key, raw in file_values.items():
-                config._assign(key, coerce_value(key, raw))
-        for key, value in flag_values.items():
-            if value is not None:
-                config._assign(key, value)
+    def build(cls, config_path: str | None, flags: Mapping[str, Any]) -> "RunConfig":
+        """Layer defaults, then the config file, then flags; then check across keys."""
+        config = cls(**layer("simulate", vars(cls()), config_path, flags))
         config.validate()
         return config
 
-    def _assign(self, key: str, value) -> None:
-        if key == "trials":
-            # Read by the overhead command only.
-            raise ConfigError("trials", "not used by simulate")
-        if key == "pairs":
-            self.pairs = _parse_pairs(value) if isinstance(value, str) else value
-        else:
-            setattr(self, key, value)
-
     def validate(self) -> None:
-        if self.seed < 0:
-            raise ConfigError("seed", "must be non-negative")
-        if self.K < 1:
-            raise ConfigError("K", "must be at least 1")
+        """The rules that involve more than one key; :data:`KEYS` checks each alone."""
         if self.T is not None and self.loss_db is not None:
             raise ConfigError("T", "give either T or loss_db, not both")
-        for key in ("gamma", "mu", "eta_path", "eta_msg"):
-            value = getattr(self, key)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(key, f"must be in [0, 1], got {value}")
-        if self.T is not None and not 0.0 <= self.T <= 1.0:
-            raise ConfigError("T", f"must be in [0, 1], got {self.T}")
-        if self.loss_db is not None and self.loss_db < 0:
-            raise ConfigError("loss_db", f"must be non-negative, got {self.loss_db}")
-        if self.H2 < 0:
-            raise ConfigError("H2", "must be non-negative")
-        if self.H3 < 0:
-            raise ConfigError("H3", "must be non-negative")
         if self.H2 + self.H3 > max_decoys_per_pair(self.K):
             raise ConfigError(
                 "K",
                 f"needs H2 + H3 <= (K + 1) // 2 = {max_decoys_per_pair(self.K)} so every "
                 f"decoy's return cycle is free, got {self.H2} + {self.H3}",
             )
-        if self.attack not in ("none", "path", "message", "both"):
-            raise ConfigError("attack", f"must be none/path/message/both, got {self.attack!r}")
-        if self.traffic not in ("full", "silent"):
-            raise ConfigError("traffic", f"must be full or silent, got {self.traffic!r}")
-        for key in ("threshold2", "threshold3"):
-            value = getattr(self, key)
-            if value is not None and not 0.0 <= value <= 0.5:
-                raise ConfigError(key, f"must be in [0, 0.5], got {value}")
-        if self.num_nodes < 2:
-            raise ConfigError("num_nodes", "must be at least 2")
         seen: set[tuple[int, int]] = set()
         for sender, receiver in self.pairs:
             if (sender, receiver) in seen:
@@ -163,7 +184,7 @@ class RunConfig:
 
     def channel(self) -> ChannelModel:
         if self.loss_db is not None:
-            return ChannelModel(T=loss_db_to_T(self.loss_db), gamma=self.gamma, mu=self.mu)
+            return ChannelModel.from_loss_db(self.loss_db, self.gamma, self.mu)
         return ChannelModel(T=self.T if self.T is not None else 1.0, gamma=self.gamma, mu=self.mu)
 
     def attack_config(self) -> AttackConfig:

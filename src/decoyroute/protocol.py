@@ -40,7 +40,6 @@ from .quantum import (
     SpatioTemporalMode,
     interfere_path_packet,
     measure_qubit,
-    prepare_bb84,
     prepare_path_packet,
 )
 
@@ -197,8 +196,6 @@ def generate_schedule(
     if h2_per_pair < 0 or h3_per_pair < 0:
         raise ValueError("slot counts must be non-negative")
     total = h2_per_pair + h3_per_pair
-    if total > K:
-        raise ValueError(f"over-subscribed schedule: {total} decoy slots > K = {K}")
     if total > max_decoys_per_pair(K):
         raise ValueError(
             f"over-subscribed schedule: {total} decoy slots need return cycles, "
@@ -234,12 +231,11 @@ def _eve_decisions(
 
 
 def _send_dummy_return(channel: ChannelModel, streams: Streams) -> None:
-    # Content is discarded; generating and transmitting it keeps the wire
-    # pattern and the stream consumption identical across slot types.
-    QubitPreparation(
-        Basis.Z if streams.measurement.random() < 0.5 else Basis.X,
-        int(streams.measurement.random() < 0.5),
-    )
+    # Content is discarded; drawing its basis and bit and transmitting it
+    # keeps the wire pattern and the stream consumption identical across
+    # slot types.
+    streams.measurement.random()
+    streams.measurement.random()
     transmit(channel.T, streams.channel)
 
 
@@ -255,7 +251,7 @@ def run_type1_slot(
         raise ValueError(f"expected a Type 1 assignment, got {assignment.slot_type}")
     path_hit, msg_hit = _eve_decisions(assignment.cycle, eve, streams.eve)
 
-    prep = prepare_bb84(Basis.Z, payload_bit)
+    prep = QubitPreparation(Basis.Z, payload_bit)
     mode = SpatioTemporalMode(assignment.sender, assignment.receiver, assignment.cycle)
     if path_hit:
         _, (s, r, n) = intercept_path(mode)
@@ -282,7 +278,7 @@ def run_type2_slot(
     path_hit, msg_hit = _eve_decisions(assignment.cycle, eve, streams.eve)
 
     sent_bit = int(streams.measurement.random() < 0.5)
-    prep = prepare_bb84(assignment.basis, sent_bit)
+    prep = QubitPreparation(assignment.basis, sent_bit)
     if path_hit:
         # Single-mode label: read out classically, no disturbance.
         _, (s, r, n) = intercept_path(
@@ -339,11 +335,6 @@ def run_type3_slot(
     stats.type3_trials += 1
     stats.type3_errors += int(error)
     return error
-
-
-def estimate_disturbance(stats: DisturbanceStats) -> tuple[float | None, float | None]:
-    """Empirical disturbance ratios; ``None`` marks a zero-trial (undefined) estimate."""
-    return stats.d2_hat, stats.d3_hat
 
 
 def detect_eavesdropper(
@@ -496,8 +487,7 @@ def run_simulation(
             # The last payload's return may fall on cycle K.
             run_payloads(K)
 
-        d2_hat, d3_hat = estimate_disturbance(stats)
-        detected = detect_eavesdropper(d2_hat, d3_hat, threshold2, threshold3)
+        detected = detect_eavesdropper(stats.d2_hat, stats.d3_hat, threshold2, threshold3)
         pair_results.append(
             PairResult(
                 sender=sender,

@@ -94,11 +94,6 @@ def _uniform_bit(rng: np.random.Generator) -> int:
     return int(rng.random() < 0.5)
 
 
-def prepare_bb84(basis: Basis, bit: int) -> QubitPreparation:
-    """Prepare a qubit in the given basis eigenstate. Pure and deterministic."""
-    return QubitPreparation(basis, bit)
-
-
 def measure_qubit(
     prep: QubitPreparation,
     meas_basis: Basis,

@@ -6,12 +6,12 @@ from decoyroute import (
     AttackMode,
     Basis,
     EveLedger,
+    QubitPreparation,
     SpatioTemporalMode,
     decide_intercept,
     intercept_message,
     intercept_path,
     learned_traffic_fraction,
-    prepare_bb84,
     prepare_path_packet,
     interfere_path_packet,
 )
@@ -39,7 +39,7 @@ def test_decide_intercept_rejects_bad_rate():
 
 def test_matching_basis_interception_is_transparent():
     rng = np.random.default_rng(2)
-    prep = prepare_bb84(Basis.Z, 0)
+    prep = QubitPreparation(Basis.Z, 0)
     for _ in range(400):
         resent, eve_bit, eve_basis = intercept_message(prep, rng)
         if eve_basis is prep.basis:
@@ -48,7 +48,7 @@ def test_matching_basis_interception_is_transparent():
 
 def test_cross_basis_interception_randomizes():
     rng = np.random.default_rng(3)
-    prep = prepare_bb84(Basis.Z, 0)
+    prep = QubitPreparation(Basis.Z, 0)
     cross_bits = [
         bit
         for _ in range(20_000)
@@ -73,7 +73,7 @@ def test_downstream_error_rate_matches_enumeration_oracle():
     for i in range(n):
         basis = Basis.Z if i % 2 else Basis.X
         bit = (i // 2) % 2
-        prep = prepare_bb84(basis, bit)
+        prep = QubitPreparation(basis, bit)
         resent, _, _ = intercept_message(prep, rng)
         errors += measure_qubit(resent, basis, 0.0, rng) != bit
     assert errors / n == pytest.approx(expected, abs=oracles.binomial_tolerance(expected, n))
@@ -121,8 +121,9 @@ def test_attack_config_rates():
         AttackConfig(eta_path=1.2)
 
 
-def test_ledger_endpoints_subset_of_intercepted():
+def test_ledger_records_endpoints_and_bits():
     ledger = EveLedger()
     ledger.record_endpoints(4, 0, 1)
     ledger.record_bit(9, 1, Basis.Z)
-    assert {record[0] for record in ledger.learned_endpoints} <= ledger.intercepted_cycles
+    assert ledger.learned_endpoints == [(4, 0, 1)]
+    assert ledger.learned_bits == [(9, 1, Basis.Z)]

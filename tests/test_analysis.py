@@ -116,8 +116,10 @@ def test_loss_threshold_matches_grid_scan_oracle():
 
 
 def test_loss_threshold_saturated_case():
-    with pytest.raises(AlreadySaturatedError, match="already saturated"):
-        loss_threshold(0.5, 0.01)
+    # gamma > 0.5 puts D above 0.5, outside leaked_fraction_uncapped's range.
+    for gamma in (0.5, 0.6):
+        with pytest.raises(AlreadySaturatedError, match="already saturated"):
+            loss_threshold(gamma, 0.01)
 
 
 def test_cross_check_threshold_transmissivity():

@@ -1,10 +1,12 @@
 import hashlib
 import io
 import re
+from pathlib import Path
 
 import pytest
 
-from decoyroute.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, fmt, main
+from decoyroute.cli import DEFAULTS, EXIT_CONFIG_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, fmt, main
+from decoyroute.config import KEYS, RunConfig
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -143,6 +145,37 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys):
     assert code == EXIT_CONFIG_ERROR
     assert "config key 'pairs'" in capsys.readouterr().err
 
+    # Every command checks its keys' ranges, and rejects file keys it does not read.
+    overhead_file = tmp_path / "overhead.cfg"
+    overhead_file.write_text("gamma = 0.1\n")
+    figure2_file = tmp_path / "figure2.cfg"
+    figure2_file.write_text("K = 5\n")
+    for argv, key in (
+        (("overhead", "--K", "0", "--H3", "0"), "K"),
+        (("overhead", "--K", "0"), "K"),
+        (("overhead", "--trials", "0"), "trials"),
+        (("verify", "--seed", "-1"), "seed"),
+        (("figure2", "--gamma", "2"), "gamma"),
+        (("overhead", "--config", str(overhead_file)), "gamma"),
+        (("figure2", "--config", str(figure2_file)), "K"),
+    ):
+        code, _ = run_cli(*argv)
+        assert code == EXIT_CONFIG_ERROR, argv
+        assert f"config key '{key}'" in capsys.readouterr().err, argv
+
+
+def test_readme_lists_the_keys_each_command_reads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1]
+    listed = {
+        command: re.sub(r"\s+", " ", keys).split(", ")
+        for command, keys in re.findall(r"^- `(\w+)`: `([^`]*)`", section, re.MULTILINE)
+    }
+    read = {command: list(defaults) for command, defaults in DEFAULTS.items()}
+    read["simulate"] = list(vars(RunConfig()))
+    assert listed == read
+    assert {key for keys in listed.values() for key in keys} == set(KEYS)
+
 
 def test_simulate_oversubscription_is_config_error(capsys):
     # More decoys than cycles.
@@ -197,6 +230,53 @@ def test_simulate_output_matches_golden_digests():
         assert code == EXIT_OK, args
         digests[args] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == GOLDEN_SIMULATE_DIGESTS
+
+
+# sha256 of stdout for the other commands, recorded before they shared the
+# config-layering path with simulate.
+GOLDEN_DIGESTS = {
+    "figure2":
+        "ddfb548453455b4422d3df404bbf55bb46836178b84e6fce1d4748f02c54bfbd",
+    # D > 0.5 here, and the command still succeeds.
+    "figure2 --gamma 0.8 --mu 0.3 --steps 7":
+        "1f3a1e2fc5e5c9b146c29bb1dd47343819480f0de6fbdbdd723aaa751e2ce9d7",
+    "overhead --K 100 --H3 20 --m 20 --trials 1000 --seed 3":
+        "bb636e56ae518f972dbc54ce65cd1ecdb90d75a1093e5827b8b2f60b5d672425",
+    "overhead --K 1000 --H3 93 --eta 0.1 --trials 1":
+        "3170d3505f07fbf6b58cafb3d42de8ae6c80aba85cc9f768bce76192e7e2045d",
+    "overhead --K 50 --H3 0":
+        "1c1c32a27405a16871184c12fb7544ac197ea53affbfe0dcc3d50e064fde3069",
+    "verify --dim 4 --samples 10 --scatter-samples 20 --seed 5":
+        "e2b52bfbd2e6642ae8fbb2461be1a7561281f8f8c0ab6071e099f890079dbaa4",
+}
+
+# Config file lines, then the flags: pins default < file < flag.
+GOLDEN_CONFIG_DIGESTS = {
+    ("overhead", "K = 60\nH3 = 12\ntrials = 500\nseed = 9\n", "--H3 10"):
+        "d0c952d4eacdd653a1176821cef294de5fe66db188cbdab467ba22597e2823c3",
+    ("figure2", "gamma = 0.02\nmu = 0.03\n", "--mu 0.01 --steps 5"):
+        "3e0b2bb76ad391d4243eaba181d9db1055f5969eb0d620b6e5281ea176deb1a1",
+    ("verify", "seed = 4\n", "--samples 10 --scatter-samples 20"):
+        "7e3f8e8fe294ac0a67c72e473bfd7e041de5bd90d115e3a59fb5aaea4fb6901f",
+}
+
+
+def test_other_commands_match_golden_digests(tmp_path):
+    digests = {}
+    for args in GOLDEN_DIGESTS:
+        code, text = run_cli(*args.split())
+        assert code == EXIT_OK, args
+        digests[args] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == GOLDEN_DIGESTS
+
+    config = tmp_path / "run.cfg"
+    config_digests = {}
+    for command, lines, flags in GOLDEN_CONFIG_DIGESTS:
+        config.write_text(lines)
+        code, text = run_cli(command, "--config", str(config), *flags.split())
+        assert code == EXIT_OK, command
+        config_digests[command, lines, flags] = hashlib.sha256(text.encode()).hexdigest()
+    assert config_digests == GOLDEN_CONFIG_DIGESTS
 
 
 def test_overhead_table_and_sizing():

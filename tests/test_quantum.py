@@ -7,7 +7,6 @@ from decoyroute import (
     QubitPreparation,
     interfere_path_packet,
     measure_qubit,
-    prepare_bb84,
     prepare_path_packet,
 )
 
@@ -16,28 +15,22 @@ import oracles
 ALL_PREPS = [(Basis.Z, 0), (Basis.Z, 1), (Basis.X, 0), (Basis.X, 1)]
 
 
-def test_prepare_bb84_is_identity_construction():
-    assert prepare_bb84(Basis.Z, 0) == QubitPreparation(Basis.Z, 0)
-    assert prepare_bb84(Basis.X, 1) == QubitPreparation(Basis.X, 1)
-    assert prepare_bb84(Basis.Z, 1) == QubitPreparation(Basis.Z, 1)
-
-
-def test_prepare_bb84_rejects_non_binary():
+def test_qubit_preparation_rejects_non_binary():
     with pytest.raises(ValueError):
-        prepare_bb84(Basis.Z, 2)
+        QubitPreparation(Basis.Z, 2)
 
 
 @pytest.mark.parametrize(("basis", "bit"), ALL_PREPS)
 def test_same_basis_noiseless_is_error_free(basis, bit):
     rng = np.random.default_rng(0)
-    prep = prepare_bb84(basis, bit)
+    prep = QubitPreparation(basis, bit)
     assert all(measure_qubit(prep, basis, 0.0, rng) == bit for _ in range(200))
 
 
 def test_cross_basis_outcome_is_uniform():
     n = 100_000
     rng = np.random.default_rng(1)
-    prep = prepare_bb84(Basis.Z, 0)
+    prep = QubitPreparation(Basis.Z, 0)
     ones = sum(measure_qubit(prep, Basis.X, 0.0, rng) for _ in range(n))
     assert ones / n == pytest.approx(0.5, abs=oracles.binomial_tolerance(0.5, n))
 
@@ -45,7 +38,7 @@ def test_cross_basis_outcome_is_uniform():
 def test_same_basis_flip_probability():
     n = 100_000
     rng = np.random.default_rng(2)
-    prep = prepare_bb84(Basis.X, 1)
+    prep = QubitPreparation(Basis.X, 1)
     wrong = sum(measure_qubit(prep, Basis.X, 0.01, rng) != 1 for _ in range(n))
     assert wrong / n == pytest.approx(0.01, abs=oracles.binomial_tolerance(0.01, n, 3))
 
@@ -55,7 +48,7 @@ def test_same_basis_flip_probability():
 def test_measurement_error_matches_born_oracle(basis, bit, meas_basis):
     n = 20_000
     rng = np.random.default_rng(hash((basis.value, bit, meas_basis.value)) % 2**32)
-    prep = prepare_bb84(basis, bit)
+    prep = QubitPreparation(basis, bit)
     expected = oracles.measurement_error_probability((basis.value, bit), meas_basis.value, 0.0)
     wrong = sum(measure_qubit(prep, meas_basis, 0.0, rng) != bit for _ in range(n))
     tol = oracles.binomial_tolerance(max(expected, 1e-9), n) if 0 < expected < 1 else 0.0
@@ -65,11 +58,11 @@ def test_measurement_error_matches_born_oracle(basis, bit, meas_basis):
 def test_measure_qubit_rejects_bad_flip_prob():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        measure_qubit(prepare_bb84(Basis.Z, 0), Basis.Z, 1.5, rng)
+        measure_qubit(QubitPreparation(Basis.Z, 0), Basis.Z, 1.5, rng)
 
 
 def test_measurement_is_deterministic_given_seed():
-    prep = prepare_bb84(Basis.Z, 0)
+    prep = QubitPreparation(Basis.Z, 0)
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(99)
