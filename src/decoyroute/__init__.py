@@ -22,7 +22,6 @@ from .adversary import (
 )
 from .analysis import (
     AlreadySaturatedError,
-    SecurityPoint,
     baseline_disturbance,
     binary_entropy,
     inferred_eta,
@@ -33,7 +32,6 @@ from .analysis import (
     security_curve,
 )
 from .channel import ChannelModel, loss_db_to_T, transmit
-from .config import ConfigError, RunConfig, parse_config_file
 from .constraints import (
     JointUnitary,
     LinkUnitaryPair,
@@ -62,13 +60,7 @@ from .overhead import (
 )
 from .protocol import (
     DisturbanceStats,
-    PairResult,
-    Schedule,
-    SimulationResult,
-    SlotAssignment,
-    SlotType,
     Streams,
-    default_thresholds,
     detect_eavesdropper,
     generate_schedule,
     run_simulation,
@@ -80,7 +72,6 @@ from .quantum import (
     Basis,
     PathPacket,
     QubitPreparation,
-    SpatioTemporalMode,
     interfere_path_packet,
     measure_qubit,
     prepare_path_packet,

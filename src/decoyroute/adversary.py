@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum import Basis, PathPacket, QubitPreparation, SpatioTemporalMode, measure_qubit
+from .quantum import Basis, PathPacket, QubitPreparation, measure_qubit
 
 
 class AttackMode(enum.Enum):
@@ -107,36 +107,21 @@ def intercept_message(
     return QubitPreparation(eve_basis, eve_bit), eve_bit, eve_basis
 
 
-def intercept_path(
-    packet: PathPacket | SpatioTemporalMode,
-) -> tuple[PathPacket | SpatioTemporalMode, tuple[int, int, int]]:
-    """Measure a packet's propagation mode, learning sender, receiver and cycle.
+def intercept_path(packet: PathPacket) -> tuple[PathPacket, tuple[int, int, int]]:
+    """Measure a path packet's propagation mode, learning sender, receiver and cycle.
 
-    For a single-mode packet the label is classical, so the packet comes
-    back unchanged.  For a path packet the measurement acquires which-path
-    information and returns the packet collapsed; the later interference
-    readout at the origin then turns into a coin flip.
+    The measurement acquires which-path information and returns the packet
+    collapsed; the later interference readout at the origin then turns
+    into a coin flip.  (A single-mode packet's label is classical: the
+    slot runners record it without touching the packet.)
     """
-    if isinstance(packet, PathPacket):
-        return packet.collapse(), (packet.origin, packet.partner, packet.cycle)
-    return packet, (packet.sender, packet.receiver, packet.cycle)
+    return packet.collapse(), (packet.origin, packet.partner, packet.cycle)
 
 
-def learned_traffic_fraction(
-    ledger: EveLedger,
-    total_type1_slots: int,
-    type1_slots: set[tuple[int, int, int]] | None = None,
-) -> float:
-    """Fraction of payload round trips whose endpoints Eve learned.
-
-    ``type1_slots`` restricts the endpoint records to payload slots, given
-    as (cycle, sender, receiver) keys; the network-side accounting knows
-    which slots those were even though Eve does not.  When omitted, every
-    endpoint record is counted.
-    """
-    if total_type1_slots <= 0:
-        raise ValueError(f"total_type1_slots must be positive, got {total_type1_slots}")
-    records = set(ledger.learned_endpoints)
-    if type1_slots is not None:
-        records &= type1_slots
-    return len(records) / total_type1_slots
+def learned_traffic_fraction(learned: int, total: int) -> float:
+    """Fraction of ``total`` payload round trips whose endpoints Eve learned."""
+    if total <= 0:
+        raise ValueError(f"total must be positive, got {total}")
+    if not 0 <= learned <= total:
+        raise ValueError(f"learned must be in [0, {total}], got {learned}")
+    return learned / total

@@ -5,7 +5,8 @@ seed; running twice with the same inputs produces byte-identical output.
 Floats are emitted with 9 significant digits so golden files are portable.
 
 Exit status: 0 on success, 1 when `verify` finds a failing check, 2 for
-configuration or usage errors.
+configuration or usage errors, including a `--config` file that cannot be
+read and an `--out` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ def _row(*cells) -> str:
 
 
 def cmd_figure2(args: argparse.Namespace, out: IO[str]) -> int:
-    if not 0 <= args.loss_min <= args.loss_max or args.steps < 2:
-        raise ConfigError("loss_db", "need 0 <= loss-min <= loss-max and steps >= 2")
+    if not 0 <= args.loss_min <= args.loss_max:
+        raise ConfigError("loss_db", "need 0 <= loss-min <= loss-max")
+    if args.steps < 2:
+        raise ConfigError("steps", f"must be >= 2, got {args.steps}")
     values = layer("figure2", DEFAULTS["figure2"], args.config, vars(args))
     points = analysis.security_curve(
         values["gamma"], values["mu"], args.loss_min, args.loss_max, args.steps
@@ -153,6 +156,8 @@ def cmd_overhead(args: argparse.Namespace, out: IO[str]) -> int:
 
 def cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
     seed = layer("verify", DEFAULTS["verify"], args.config, vars(args))["seed"]
+    if args.scatter_samples < 1:
+        raise ConfigError("scatter_samples", f"must be >= 1, got {args.scatter_samples}")
     checks, scatter = constraints.run_verification(
         dim=args.dim,
         samples=args.samples,
@@ -227,14 +232,15 @@ def main(argv: list[str] | None = None, stdout: IO[str] | None = None) -> int:
     args = parser.parse_args(argv)
     out = stdout if stdout is not None else sys.stdout
     try:
-        if args.out is not None:
-            with open(args.out, "w") as handle:
-                return args.func(args, handle)
-        return args.func(args, out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except ValueError as exc:
+        if args.out is None:
+            return args.func(args, out)
+        try:
+            handle = open(args.out, "w")
+        except OSError as exc:
+            raise ConfigError("out", f"cannot write {args.out}: {exc.strerror}") from None
+        with handle:
+            return args.func(args, handle)
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -87,8 +87,12 @@ KEYS: dict[str, Key] = {
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Parse ``key = value`` lines; ``#`` starts a comment, blanks are skipped."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc.strerror}") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -17,7 +17,6 @@ flags an eavesdropper.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -37,34 +36,10 @@ from .channel import ChannelModel, transmit
 from .quantum import (
     Basis,
     QubitPreparation,
-    SpatioTemporalMode,
     interfere_path_packet,
     measure_qubit,
     prepare_path_packet,
 )
-
-
-class SlotType(enum.Enum):
-    TYPE1 = "type1"
-    TYPE2 = "type2"
-    TYPE3 = "type3"
-
-
-@dataclass(frozen=True)
-class SlotAssignment:
-    """One scheduled decoy transmission; ``basis`` is set for Type 2 only."""
-
-    slot_type: SlotType
-    cycle: int
-    sender: int
-    receiver: int
-    basis: Basis | None = None
-
-    def __post_init__(self) -> None:
-        if self.sender == self.receiver:
-            raise ValueError("sender and receiver must differ")
-        if (self.basis is not None) != (self.slot_type is SlotType.TYPE2):
-            raise ValueError("basis is required for Type 2 slots and only for them")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,15 +81,6 @@ class Schedule:
     def for_pair(self, sender: int, receiver: int) -> PairSchedule:
         return self.assignments[(sender, receiver)]
 
-    def count(self, slot_type: SlotType) -> int:
-        """Scheduled slots of ``slot_type`` over all pairs; payloads are never scheduled."""
-        if slot_type is SlotType.TYPE1:
-            return 0
-        type2 = sum(int(np.count_nonzero(p.type2)) for p in self.assignments.values())
-        if slot_type is SlotType.TYPE2:
-            return type2
-        return sum(len(p) for p in self.assignments.values()) - type2
-
 
 @dataclass
 class DisturbanceStats:
@@ -153,12 +119,6 @@ class Streams:
             measurement=seeding.stream_rng(root_seed, "measurement", pair_index),
             eve=seeding.stream_rng(root_seed, "eve", pair_index),
         )
-
-
-@dataclass(frozen=True)
-class Type1Record:
-    delivered: bool
-    eve_learned_endpoints: bool
 
 
 def max_decoys_per_pair(K: int) -> int:
@@ -240,58 +200,59 @@ def _send_dummy_return(channel: ChannelModel, streams: Streams) -> None:
 
 
 def run_type1_slot(
-    assignment: SlotAssignment,
+    cycle: int,
+    sender: int,
+    receiver: int,
     payload_bit: int,
     channel: ChannelModel,
     eve: Eavesdropper,
     streams: Streams,
-) -> Type1Record:
-    """One payload round trip: qubit out, dummy back."""
-    if assignment.slot_type is not SlotType.TYPE1:
-        raise ValueError(f"expected a Type 1 assignment, got {assignment.slot_type}")
-    path_hit, msg_hit = _eve_decisions(assignment.cycle, eve, streams.eve)
+) -> tuple[bool, bool]:
+    """One payload round trip: qubit out, dummy back.
 
-    prep = QubitPreparation(Basis.Z, payload_bit)
-    mode = SpatioTemporalMode(assignment.sender, assignment.receiver, assignment.cycle)
+    Returns whether the payload was delivered and whether Eve learned its
+    endpoints.
+    """
+    path_hit, msg_hit = _eve_decisions(cycle, eve, streams.eve)
+
     if path_hit:
-        _, (s, r, n) = intercept_path(mode)
-        eve.ledger.record_endpoints(n, s, r)
+        # Single-mode label: read out classically, no disturbance.
+        eve.ledger.record_endpoints(cycle, sender, receiver)
     if msg_hit:
+        prep = QubitPreparation(Basis.Z, payload_bit)
         _, eve_bit, eve_basis = intercept_message(prep, streams.eve)
-        eve.ledger.record_bit(assignment.cycle, eve_bit, eve_basis)
+        eve.ledger.record_bit(cycle, eve_bit, eve_basis)
 
     delivered = transmit(channel.T, streams.channel)
     _send_dummy_return(channel, streams)
-    return Type1Record(delivered=delivered, eve_learned_endpoints=path_hit)
+    return delivered, path_hit
 
 
 def run_type2_slot(
-    assignment: SlotAssignment,
+    cycle: int,
+    sender: int,
+    receiver: int,
+    basis: Basis,
     channel: ChannelModel,
     eve: Eavesdropper,
     streams: Streams,
     stats: DisturbanceStats,
 ) -> bool:
-    """One message-integrity decoy; returns whether it counted an error."""
-    if assignment.slot_type is not SlotType.TYPE2 or assignment.basis is None:
-        raise ValueError("expected a Type 2 assignment with a basis")
-    path_hit, msg_hit = _eve_decisions(assignment.cycle, eve, streams.eve)
+    """One message-integrity decoy in ``basis``; returns whether it counted an error."""
+    path_hit, msg_hit = _eve_decisions(cycle, eve, streams.eve)
 
     sent_bit = int(streams.measurement.random() < 0.5)
-    prep = QubitPreparation(assignment.basis, sent_bit)
+    prep = QubitPreparation(basis, sent_bit)
     if path_hit:
         # Single-mode label: read out classically, no disturbance.
-        _, (s, r, n) = intercept_path(
-            SpatioTemporalMode(assignment.sender, assignment.receiver, assignment.cycle)
-        )
-        eve.ledger.record_endpoints(n, s, r)
+        eve.ledger.record_endpoints(cycle, sender, receiver)
     if msg_hit:
         prep, eve_bit, eve_basis = intercept_message(prep, streams.eve)
-        eve.ledger.record_bit(assignment.cycle, eve_bit, eve_basis)
+        eve.ledger.record_bit(cycle, eve_bit, eve_basis)
 
     survived = transmit(channel.T, streams.channel)
     if survived:
-        measured = measure_qubit(prep, assignment.basis, channel.mu, streams.measurement)
+        measured = measure_qubit(prep, basis, channel.mu, streams.measurement)
     else:
         measured = int(streams.measurement.random() < 0.5)
     error = measured != sent_bit
@@ -303,27 +264,25 @@ def run_type2_slot(
 
 
 def run_type3_slot(
-    assignment: SlotAssignment,
+    cycle: int,
+    sender: int,
+    receiver: int,
     channel: ChannelModel,
     eve: Eavesdropper,
     streams: Streams,
     stats: DisturbanceStats,
 ) -> bool:
     """One path-integrity decoy; returns whether it counted an error."""
-    if assignment.slot_type is not SlotType.TYPE3:
-        raise ValueError(f"expected a Type 3 assignment, got {assignment.slot_type}")
-    path_hit, msg_hit = _eve_decisions(assignment.cycle, eve, streams.eve)
+    path_hit, msg_hit = _eve_decisions(cycle, eve, streams.eve)
 
-    packet = prepare_path_packet(
-        assignment.sender, assignment.receiver, assignment.cycle, streams.measurement
-    )
+    packet = prepare_path_packet(sender, receiver, cycle, streams.measurement)
     if path_hit:
         packet, (s, r, n) = intercept_path(packet)
         eve.ledger.record_endpoints(n, s, r)
     if msg_hit:
         # Content tap touches only the dummy payload, not the mode.
         _, eve_bit, eve_basis = intercept_message(packet.dummy, streams.eve)
-        eve.ledger.record_bit(assignment.cycle, eve_bit, eve_basis)
+        eve.ledger.record_bit(cycle, eve_bit, eve_basis)
 
     # Ideal resend hardware: interception leaves survival untouched.
     out_leg = transmit(channel.T, streams.channel)
@@ -391,7 +350,7 @@ class PairResult:
     def eve_learned_fraction(self) -> float | None:
         if self.type1_slots == 0:
             return None
-        return self.eve_learned_type1 / self.type1_slots
+        return learned_traffic_fraction(self.eve_learned_type1, self.type1_slots)
 
 
 @dataclass
@@ -445,8 +404,6 @@ def run_simulation(
         threshold3 = auto3 if threshold3 is None else threshold3
 
     pair_results: list[PairResult] = []
-    type1_keys: set[tuple[int, int, int]] = set()
-    total_type1 = 0
     for pair_index, (sender, receiver) in enumerate(node_pairs):
         streams = Streams.from_seed(seed, pair_index)
         decoys = schedule.for_pair(sender, receiver)
@@ -460,13 +417,13 @@ def run_simulation(
             # every two cycles, each forward cycle before ``stop``.
             nonlocal type1_slots, type1_delivered, learned_type1
             for cycle in range(free, stop, 2):
-                payload = SlotAssignment(SlotType.TYPE1, cycle, sender, receiver)
                 bit = int(streams.measurement.random() < 0.5)
-                record = run_type1_slot(payload, bit, channel, eve, streams)
+                delivered, learned = run_type1_slot(
+                    cycle, sender, receiver, bit, channel, eve, streams
+                )
                 type1_slots += 1
-                type1_delivered += int(record.delivered)
-                learned_type1 += int(record.eve_learned_endpoints)
-                type1_keys.add((cycle, sender, receiver))
+                type1_delivered += delivered
+                learned_type1 += learned
 
         free = 0
         for cycle, is_type2, z_basis in zip(
@@ -477,11 +434,9 @@ def run_simulation(
                 run_payloads(cycle - 1)
             if is_type2:
                 basis = Basis.Z if z_basis else Basis.X
-                assignment = SlotAssignment(SlotType.TYPE2, cycle, sender, receiver, basis)
-                run_type2_slot(assignment, channel, eve, streams, stats)
+                run_type2_slot(cycle, sender, receiver, basis, channel, eve, streams, stats)
             else:
-                assignment = SlotAssignment(SlotType.TYPE3, cycle, sender, receiver)
-                run_type3_slot(assignment, channel, eve, streams, stats)
+                run_type3_slot(cycle, sender, receiver, channel, eve, streams, stats)
             free = cycle + 2
         if traffic == "full":
             # The last payload's return may fall on cycle K.
@@ -499,7 +454,6 @@ def run_simulation(
                 detected=detected,
             )
         )
-        total_type1 += type1_slots
 
     pooled2_trials = sum(p.stats.type2_trials for p in pair_results)
     pooled2_errors = sum(p.stats.type2_errors for p in pair_results)
@@ -517,9 +471,11 @@ def run_simulation(
             e_meas = message_error(channel.mu, channel.T)
         leak_bound = leaked_fraction(d3_pooled, e_meas)
 
+    total_type1 = sum(p.type1_slots for p in pair_results)
     actual: float | None = None
     if total_type1 > 0:
-        actual = learned_traffic_fraction(eve.ledger, total_type1, type1_keys)
+        learned = sum(p.eve_learned_type1 for p in pair_results)
+        actual = learned_traffic_fraction(learned, total_type1)
 
     return SimulationResult(
         schedule=schedule,

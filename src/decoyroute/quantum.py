@@ -47,23 +47,6 @@ class QubitPreparation:
 
 
 @dataclass(frozen=True)
-class SpatioTemporalMode:
-    """Classical propagation label of a packet: sender, receiver, clock cycle.
-
-    ``sender == receiver`` is legal and denotes the component retained
-    inside the node rather than launched into the network.
-    """
-
-    sender: int
-    receiver: int
-    cycle: int
-
-    def __post_init__(self) -> None:
-        if self.cycle < 0:
-            raise ValueError(f"cycle must be non-negative, got {self.cycle}")
-
-
-@dataclass(frozen=True)
 class PathPacket:
     """Photon in an equal superposition of staying home and visiting a partner.
 

@@ -140,6 +140,28 @@ def scalar_schedule(
     return rows
 
 
+def greedy_payload_cycles(K: int, decoy_cycles) -> list[int]:
+    """Forward cycles of one pair's payloads under greedy full traffic.
+
+    Walks the clock one cycle at a time: a decoy holds its cycle and the
+    next (its return); a cycle right before a decoy stays idle, since a
+    payload's return may not land on it; any other cycle starts a payload
+    round trip, whose return may fall on cycle K.
+    """
+    decoys = set(decoy_cycles)
+    payloads = []
+    cycle = 0
+    while cycle < K:
+        if cycle in decoys:
+            cycle += 2
+        elif cycle + 1 in decoys:
+            cycle += 1
+        else:
+            payloads.append(cycle)
+            cycle += 2
+    return payloads
+
+
 def binomial_tolerance(p: float, n: int, n_sigma: float = 4.0) -> float:
     """n_sigma binomial standard errors around probability p."""
     return n_sigma * math.sqrt(p * (1.0 - p) / n)

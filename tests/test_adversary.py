@@ -7,7 +7,6 @@ from decoyroute import (
     Basis,
     EveLedger,
     QubitPreparation,
-    SpatioTemporalMode,
     decide_intercept,
     intercept_message,
     intercept_path,
@@ -92,22 +91,14 @@ def test_path_interception_collapses_superposition():
     assert wrong / n == pytest.approx(0.5, abs=oracles.binomial_tolerance(0.5, n))
 
 
-def test_path_interception_reads_single_mode_label():
-    mode = SpatioTemporalMode(3, 5, 42)
-    same, learned = intercept_path(mode)
-    assert same is mode
-    assert learned == (3, 5, 42)
-
-
 def test_learned_traffic_fraction():
-    ledger = EveLedger()
-    assert learned_traffic_fraction(ledger, 10) == 0.0
-    for cycle in range(10):
-        ledger.record_endpoints(cycle, 0, 1)
-    assert learned_traffic_fraction(ledger, 10) == 1.0
-    assert learned_traffic_fraction(ledger, 10, {(0, 0, 1), (1, 0, 1)}) == 0.2
+    assert learned_traffic_fraction(0, 10) == 0.0
+    assert learned_traffic_fraction(10, 10) == 1.0
+    assert learned_traffic_fraction(2, 10) == 0.2
     with pytest.raises(ValueError):
-        learned_traffic_fraction(ledger, 0)
+        learned_traffic_fraction(0, 0)
+    with pytest.raises(ValueError):
+        learned_traffic_fraction(11, 10)
 
 
 def test_attack_config_rates():

@@ -158,6 +158,11 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys):
         (("figure2", "--gamma", "2"), "gamma"),
         (("overhead", "--config", str(overhead_file)), "gamma"),
         (("figure2", "--config", str(figure2_file)), "K"),
+        (("verify", "--scatter-samples", "0"), "scatter_samples"),
+        (("figure2", "--steps", "1"), "steps"),
+        (("simulate", "--config", str(tmp_path / "missing.cfg")), "config"),
+        (("overhead", "--config", str(tmp_path)), "config"),
+        (("simulate", "--out", str(tmp_path / "missing" / "x.csv")), "out"),
     ):
         code, _ = run_cli(*argv)
         assert code == EXIT_CONFIG_ERROR, argv

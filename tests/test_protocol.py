@@ -8,8 +8,6 @@ from decoyroute import (
     ChannelModel,
     DisturbanceStats,
     Eavesdropper,
-    SlotAssignment,
-    SlotType,
     Streams,
     baseline_disturbance,
     detect_eavesdropper,
@@ -30,20 +28,13 @@ def make_streams(seed: int) -> Streams:
     return Streams.from_seed(seed)
 
 
-def type2(cycle=0, basis=Basis.Z) -> SlotAssignment:
-    return SlotAssignment(SlotType.TYPE2, cycle, 0, 1, basis)
-
-
-def type3(cycle=0) -> SlotAssignment:
-    return SlotAssignment(SlotType.TYPE3, cycle, 0, 1)
-
-
 class TestGenerateSchedule:
     def test_counts_and_free_cycles(self):
         schedule = generate_schedule(10, [(0, 1)], 2, 3, shared_seed=5)
-        assert schedule.count(SlotType.TYPE2) == 2
-        assert schedule.count(SlotType.TYPE3) == 3
-        assert schedule.K - len(schedule.for_pair(0, 1).cycle) == 5
+        decoys = schedule.for_pair(0, 1)
+        assert np.count_nonzero(decoys.type2) == 2
+        assert np.count_nonzero(~decoys.type2) == 3
+        assert schedule.K - len(decoys.cycle) == 5
 
     def test_deterministic_in_shared_seed(self):
         first = generate_schedule(50, [(0, 1), (2, 3)], 4, 4, shared_seed=9)
@@ -126,26 +117,22 @@ class TestGenerateSchedule:
             generate_schedule(20, [(0, 1), (2, 1), (0, 1)], 2, 2, shared_seed=0)
         schedule = generate_schedule(20, [(0, 1), (1, 0)], 2, 2, shared_seed=0)
         assert list(schedule.assignments) == [(0, 1), (1, 0)]
-        assert schedule.count(SlotType.TYPE2) == 4
+        assert sum(np.count_nonzero(p.type2) for p in schedule.assignments.values()) == 4
 
 
 class TestType1Slot:
     def test_no_loss_no_eve(self):
         eve = Eavesdropper(AttackConfig())
-        record = run_type1_slot(
-            SlotAssignment(SlotType.TYPE1, 0, 0, 1), 1, NO_LOSS, eve, make_streams(0)
-        )
-        assert record.delivered and not record.eve_learned_endpoints
+        delivered, learned = run_type1_slot(0, 0, 1, 1, NO_LOSS, eve, make_streams(0))
+        assert delivered and not learned
 
     def test_full_path_attack_reads_every_slot(self):
         eve = Eavesdropper(AttackConfig(mode=AttackMode.PATH, eta_path=1.0))
         streams = make_streams(1)
         for cycle in range(0, 200, 2):
-            record = run_type1_slot(
-                SlotAssignment(SlotType.TYPE1, cycle, 0, 1), 0, NO_LOSS, eve, streams
-            )
-            assert record.eve_learned_endpoints
-        assert len(eve.ledger.learned_endpoints) == 100
+            _, learned = run_type1_slot(cycle, 0, 1, 0, NO_LOSS, eve, streams)
+            assert learned
+        assert eve.ledger.learned_endpoints == [(cycle, 0, 1) for cycle in range(0, 200, 2)]
 
     def test_delivery_frequency_matches_transmissivity(self):
         channel = ChannelModel(T=0.6457, gamma=0.0, mu=0.0)
@@ -153,10 +140,7 @@ class TestType1Slot:
         streams = make_streams(2)
         n = 100_000
         delivered = sum(
-            run_type1_slot(
-                SlotAssignment(SlotType.TYPE1, 2 * i, 0, 1), 0, channel, eve, streams
-            ).delivered
-            for i in range(n)
+            run_type1_slot(2 * i, 0, 1, 0, channel, eve, streams)[0] for i in range(n)
         )
         assert delivered / n == pytest.approx(0.6457, abs=oracles.binomial_tolerance(0.6457, n))
 
@@ -168,7 +152,7 @@ class TestType2Slot:
         stats = DisturbanceStats()
         for i in range(n):
             basis = Basis.Z if i % 2 else Basis.X
-            run_type2_slot(type2(2 * i, basis), channel, eve, streams, stats)
+            run_type2_slot(2 * i, 0, 1, basis, channel, eve, streams, stats)
         return stats
 
     def test_noiseless_no_eve_error_free(self):
@@ -202,7 +186,7 @@ class TestType3Slot:
         streams = make_streams(seed)
         stats = DisturbanceStats()
         for i in range(n):
-            run_type3_slot(type3(2 * i), channel, eve, streams, stats)
+            run_type3_slot(2 * i, 0, 1, channel, eve, streams, stats)
         return stats
 
     def test_noiseless_no_eve_error_free(self):
@@ -378,16 +362,37 @@ def test_run_simulation_multiple_pairs():
         assert pair.d2_hat == 0.0 and pair.d3_hat == 0.0
 
 
+@pytest.mark.parametrize("seed", [41, 42])
+def test_payload_packing_and_learned_fraction_match_greedy_oracle(seed):
+    node_pairs = [(0, 1), (1, 0), (2, 3)]
+    result = run_simulation(
+        K=3000, node_pairs=node_pairs, h2_per_pair=150, h3_per_pair=250,
+        channel=ChannelModel(T=0.9, gamma=0.01, mu=0.01),
+        attack=AttackConfig(mode=AttackMode.BOTH, eta_path=0.5, eta_msg=0.3),
+        seed=seed,
+    )
+    endpoints = result.eavesdropper.ledger.learned_endpoints
+    payload_keys = set()
+    scheduled = set()
+    for pair in result.pairs:
+        decoys = result.schedule.for_pair(pair.sender, pair.receiver).cycle.tolist()
+        payloads = oracles.greedy_payload_cycles(3000, decoys)
+        assert pair.type1_slots == len(payloads)
+        keys = {(cycle, pair.sender, pair.receiver) for cycle in payloads}
+        payload_keys |= keys
+        scheduled |= keys | {(cycle, pair.sender, pair.receiver) for cycle in decoys}
+    learned = sum(pair.eve_learned_type1 for pair in result.pairs)
+    total = sum(pair.type1_slots for pair in result.pairs)
+    assert len(set(endpoints) & payload_keys) == learned > 0
+    assert result.actual_learned_fraction == learned / total
+    assert len(set(endpoints)) == len(endpoints)
+    assert set(endpoints) <= scheduled
+    # Path hits on decoys are recorded too.
+    assert len(endpoints) > learned
+
+
 def test_type3_errors_only_ever_increment_trials_once():
     stats = DisturbanceStats()
     eve = Eavesdropper(AttackConfig())
-    run_type3_slot(type3(), NO_LOSS, eve, make_streams(0), stats)
+    run_type3_slot(0, 0, 1, NO_LOSS, eve, make_streams(0), stats)
     assert (stats.type3_trials, stats.type2_trials) == (1, 0)
-
-
-def test_slot_runners_validate_slot_type():
-    eve = Eavesdropper(AttackConfig())
-    with pytest.raises(ValueError):
-        run_type2_slot(type3(), NO_LOSS, eve, make_streams(0), DisturbanceStats())
-    with pytest.raises(ValueError):
-        run_type3_slot(type2(), NO_LOSS, eve, make_streams(0), DisturbanceStats())
