@@ -6,13 +6,16 @@ Floats are emitted with 9 significant digits so golden files are portable.
 
 Exit status: 0 on success, 1 when `verify` finds a failing check, 2 for
 configuration or usage errors, including a `--config` file that cannot be
-read and an `--out` path that cannot be written.
+read and an `--out` path that cannot be written.  Output is buffered, so a
+run that exits 2 leaves an existing `--out` file as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
+from pathlib import Path
 from typing import IO
 
 from . import analysis, constraints, overhead
@@ -48,8 +51,10 @@ def _row(*cells) -> str:
 
 
 def cmd_figure2(args: argparse.Namespace, out: IO[str]) -> int:
-    if not 0 <= args.loss_min <= args.loss_max:
-        raise ConfigError("loss_db", "need 0 <= loss-min <= loss-max")
+    if not args.loss_min >= 0:
+        raise ConfigError("loss_min", f"must be >= 0, got {args.loss_min}")
+    if not args.loss_max >= args.loss_min:
+        raise ConfigError("loss_max", f"must be >= loss-min {args.loss_min}, got {args.loss_max}")
     if args.steps < 2:
         raise ConfigError("steps", f"must be >= 2, got {args.steps}")
     values = layer("figure2", DEFAULTS["figure2"], args.config, vars(args))
@@ -230,16 +235,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None, stdout: IO[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = stdout if stdout is not None else sys.stdout
+    buffer = io.StringIO()
     try:
+        code = args.func(args, buffer)
         if args.out is None:
-            return args.func(args, out)
-        try:
-            handle = open(args.out, "w")
-        except OSError as exc:
-            raise ConfigError("out", f"cannot write {args.out}: {exc.strerror}") from None
-        with handle:
-            return args.func(args, handle)
+            (stdout if stdout is not None else sys.stdout).write(buffer.getvalue())
+        else:
+            try:
+                Path(args.out).write_text(buffer.getvalue())
+            except OSError as exc:
+                raise ConfigError("out", f"cannot write {args.out}: {exc.strerror}") from None
+        return code
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -20,11 +20,12 @@ DEFAULT_SEED = 12345
 
 
 class ConfigError(ValueError):
-    """A configuration problem, always naming the offending key."""
+    """A configuration problem, naming the offending config key or flag-only option."""
 
     def __init__(self, key: str, message: str):
         self.key = key
-        super().__init__(f"config key '{key}': {message}")
+        name = f"config key '{key}'" if key in KEYS else f"option '--{key.replace('_', '-')}'"
+        super().__init__(f"{name}: {message}")
 
 
 def _parse_pairs(value: str) -> list[tuple[int, int]]:
@@ -97,10 +98,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(line.split()[0], f"line {lineno} is not a key = value pair")
+            raise ConfigError("config", f"line {lineno} of {path} is not a key = value pair")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in KEYS:
-            raise ConfigError(key, "unknown key")
+            raise ConfigError("config", f"line {lineno} of {path}: unknown key {key!r}")
         values[key] = value
     return values
 

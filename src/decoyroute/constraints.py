@@ -33,6 +33,7 @@ import numpy as np
 
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-12
+_SCATTER_CHUNK = 1024  # samples per stacked draw and QR
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 # The four message preparations as qubit amplitude pairs, with the state
@@ -140,10 +141,14 @@ class LinkUnitaryPair:
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Unitary from QR of a complex Gaussian matrix, with phases fixed."""
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return _haar_unitaries(rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim)))
+
+
+def _haar_unitaries(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """Q of the QR of (real + i imag)/sqrt(2), stacked, with R's diagonal made positive."""
+    q, r = np.linalg.qr((real + 1j * imag) / np.sqrt(2.0))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., np.newaxis, :]
 
 
 def build_constrained_unitary(W: np.ndarray) -> JointUnitary:
@@ -212,24 +217,26 @@ def traffic_indistinguishability(pair: LinkUnitaryPair, probe: ProbeSpace) -> fl
 def tradeoff_scatter(
     samples: int, d: int, seed: int
 ) -> list[tuple[float, float]]:
-    """Disturbance/indistinguishability pairs for random unconstrained attacks."""
+    """Disturbance/indistinguishability pairs for random unconstrained attacks.
+
+    Per sample: four unitaries, then a probe; each chunk is one draw and one stacked QR."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     rng = np.random.default_rng(seed)
     points = []
-    for _ in range(samples):
-        pair = LinkUnitaryPair(
-            random_unitary(d, rng),
-            random_unitary(d, rng),
-            random_unitary(d, rng),
-            random_unitary(d, rng),
-        )
-        probe = ProbeSpace.random(d, rng)
-        points.append(
-            (type3_disturbance_of(pair, probe), traffic_indistinguishability(pair, probe))
-        )
+    for done in range(0, samples, _SCATTER_CHUNK):
+        normals = rng.normal(size=(min(_SCATTER_CHUNK, samples - done), 8 * d * d + 2 * d))
+        parts = normals[:, : 8 * d * d].reshape(-1, 4, 2, d, d)
+        unitaries = _haar_unitaries(parts[:, :, 0], parts[:, :, 1])
+        for four, probe_normals in zip(unitaries, normals[:, 8 * d * d :]):
+            pair = LinkUnitaryPair(*four)
+            state = probe_normals[:d] + 1j * probe_normals[d:]
+            probe = ProbeSpace(d, state / np.linalg.norm(state))
+            points.append(
+                (type3_disturbance_of(pair, probe), traffic_indistinguishability(pair, probe))
+            )
     return points
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _LOG_HALF = math.log(0.5)
+_MC_CHUNK = 1 << 16
 
 _log_fact_table = np.zeros(1)
 
@@ -184,8 +185,10 @@ def montecarlo_escape(
 ) -> tuple[float, float]:
     """Monte-Carlo estimate (mean, standard error) of the escape probability.
 
-    One decoy subset is drawn per call, as a schedule would fix it; each
-    trial then draws a fresh intercepted subset and scores (1/2)^overlap.
+    The overlap of a uniform m-subset of the K slots with the H3 decoys is
+    Hypergeometric(H3, K - H3, m) whichever subset the decoys hold, so each
+    trial draws that overlap directly and scores (1/2)^overlap.  Trials run
+    in fixed chunks: time is O(trials) and memory O(chunk) for every K.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -195,27 +198,18 @@ def montecarlo_escape(
         raise ValueError(f"H3 must be in [0, K], got {H3}")
     if H3 == 0 or m_intercepted == 0:
         return 1.0, 0.0
+    if max(H3, K - H3) >= 10**9:  # numpy's bound on each hypergeometric population
+        raise ValueError(f"K must keep H3 and K - H3 below 1e9, got K = {K}")
 
     rng = np.random.default_rng(seed)
-    is_decoy = np.zeros(K, dtype=bool)
-    is_decoy[rng.choice(K, size=H3, replace=False)] = True
-
-    values = np.empty(trials)
-    chunk = max(1, min(trials, 1_000_000 // max(1, K)))
-    done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        scores = rng.random((n, K))
-        if m_intercepted < K:
-            picks = np.argpartition(scores, m_intercepted, axis=1)[:, :m_intercepted]
-            overlap = is_decoy[picks].sum(axis=1)
-        else:
-            overlap = np.full(n, H3)
-        values[done : done + n] = 0.5 ** overlap
-        done += n
-    estimate = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return estimate, stderr
+    counts = np.zeros(min(H3, m_intercepted) + 1, dtype=np.int64)
+    for done in range(0, trials, _MC_CHUNK):
+        overlap = rng.hypergeometric(H3, K - H3, m_intercepted, min(_MC_CHUNK, trials - done))
+        counts += np.bincount(overlap, minlength=len(counts))
+    scores = 0.5 ** np.arange(len(counts))
+    estimate = float(counts @ scores / trials)
+    variance = float(counts @ (scores - estimate) ** 2) / max(1, trials - 1)  # 0 at one trial
+    return estimate, math.sqrt(variance / trials)
 
 
 def _check_counts(H2: int, H3: int) -> None:

@@ -2,7 +2,10 @@
 
 Everything here is computed from first principles (amplitude tables,
 exhaustive enumeration, density matrices, grid scans) without touching the
-code paths under test.
+code paths under test.  The one exception is ``scalar_tradeoff_scatter``:
+it draws its own unitaries and probes one sample at a time, and then calls
+the library's per-sample kernels, so it checks only the batching around
+them.
 """
 
 from __future__ import annotations
@@ -89,6 +92,67 @@ def brute_force_escape(K: int, H3: int, m: int) -> float:
         total += Fraction(1, 2**hits)
         count += 1
     return float(total / count)
+
+
+def subset_escape_montecarlo(
+    K: int, H3: int, m: int, trials: int, seed: int
+) -> tuple[float, float]:
+    """Escape probability (mean, standard error) by drawing whole slot subsets.
+
+    One decoy subset is fixed, as a schedule would fix it; each trial takes
+    the m slots with the smallest of K uniform scores as the intercepted
+    subset and scores (1/2)^overlap.  Costs trials * K draws.
+    """
+    if H3 == 0 or m == 0:
+        return 1.0, 0.0
+    rng = np.random.default_rng(seed)
+    is_decoy = np.zeros(K, dtype=bool)
+    is_decoy[rng.choice(K, size=H3, replace=False)] = True
+    values = np.empty(trials)
+    chunk = max(1, min(trials, 1_000_000 // K))
+    for done in range(0, trials, chunk):
+        n = min(chunk, trials - done)
+        if m < K:
+            picks = np.argpartition(rng.random((n, K)), m, axis=1)[:, :m]
+            overlap = is_decoy[picks].sum(axis=1)
+        else:
+            overlap = np.full(n, H3)
+        values[done : done + n] = 0.5**overlap
+    stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return float(values.mean()), stderr
+
+
+def scalar_tradeoff_scatter(samples: int, d: int, seed: int) -> list[tuple[float, float]]:
+    """The trade-off scatter drawn one sample at a time.
+
+    Per sample: four unitaries, each the QR of (real + i imag)/sqrt(2) with
+    R's diagonal phases moved into Q, then a normalised complex Gaussian
+    probe; scored by the library's per-sample disturbance and
+    indistinguishability kernels.
+    """
+    from decoyroute import (
+        LinkUnitaryPair,
+        ProbeSpace,
+        traffic_indistinguishability,
+        type3_disturbance_of,
+    )
+
+    def unitary(rng: np.random.Generator) -> np.ndarray:
+        z = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r)
+        return q * (diag / np.abs(diag))
+
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(samples):
+        pair = LinkUnitaryPair(unitary(rng), unitary(rng), unitary(rng), unitary(rng))
+        state = rng.normal(size=d) + 1j * rng.normal(size=d)
+        probe = ProbeSpace(d, state / np.linalg.norm(state))
+        points.append(
+            (type3_disturbance_of(pair, probe), traffic_indistinguishability(pair, probe))
+        )
+    return points
 
 
 def leak_threshold_by_scan(gamma: float, mu: float, step: float = 1e-4) -> float:

@@ -122,51 +122,73 @@ def test_simulate_reads_config_file_with_flag_override(tmp_path):
 
 
 def test_config_errors_name_the_offending_key(tmp_path, capsys):
+    # Keys of config.KEYS are named "config key '<key>'"; flag-only options
+    # "option '--<flag>'".
     config = tmp_path / "bad.cfg"
     config.write_text("gamma = 2.0\n")
     code, _ = run_cli("simulate", "--config", str(config))
     assert code == EXIT_CONFIG_ERROR
-    assert "gamma" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: config key 'gamma': ")
 
     config.write_text("no_such_key = 1\n")
     code, _ = run_cli("simulate", "--config", str(config))
     assert code == EXIT_CONFIG_ERROR
-    assert "no_such_key" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: option '--config': ") and "'no_such_key'" in err
 
     # The overhead command reads trials; simulate must not ignore it silently.
     config.write_text("trials = 5\n")
     code, _ = run_cli("simulate", "--config", str(config))
     assert code == EXIT_CONFIG_ERROR
-    assert "config key 'trials'" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: config key 'trials': ")
     code, _ = run_cli("overhead", "--config", str(config), "--K", "50", "--H3", "5")
     assert code == EXIT_OK
 
     code, _ = run_cli("simulate", "--K", "20", "--H2", "2", "--H3", "2", "--pairs", "0-1,0-1")
     assert code == EXIT_CONFIG_ERROR
-    assert "config key 'pairs'" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: config key 'pairs': ")
 
     # Every command checks its keys' ranges, and rejects file keys it does not read.
     overhead_file = tmp_path / "overhead.cfg"
     overhead_file.write_text("gamma = 0.1\n")
     figure2_file = tmp_path / "figure2.cfg"
     figure2_file.write_text("K = 5\n")
-    for argv, key in (
-        (("overhead", "--K", "0", "--H3", "0"), "K"),
-        (("overhead", "--K", "0"), "K"),
-        (("overhead", "--trials", "0"), "trials"),
-        (("verify", "--seed", "-1"), "seed"),
-        (("figure2", "--gamma", "2"), "gamma"),
-        (("overhead", "--config", str(overhead_file)), "gamma"),
-        (("figure2", "--config", str(figure2_file)), "K"),
-        (("verify", "--scatter-samples", "0"), "scatter_samples"),
-        (("figure2", "--steps", "1"), "steps"),
-        (("simulate", "--config", str(tmp_path / "missing.cfg")), "config"),
-        (("overhead", "--config", str(tmp_path)), "config"),
-        (("simulate", "--out", str(tmp_path / "missing" / "x.csv")), "out"),
+    for argv, prefix in (
+        (("overhead", "--K", "0", "--H3", "0"), "config key 'K'"),
+        (("overhead", "--K", "0"), "config key 'K'"),
+        (("overhead", "--trials", "0"), "config key 'trials'"),
+        (("verify", "--seed", "-1"), "config key 'seed'"),
+        (("figure2", "--gamma", "2"), "config key 'gamma'"),
+        (("overhead", "--config", str(overhead_file)), "config key 'gamma'"),
+        (("figure2", "--config", str(figure2_file)), "config key 'K'"),
+        (("verify", "--scatter-samples", "0"), "option '--scatter-samples'"),
+        (("figure2", "--steps", "1"), "option '--steps'"),
+        (("figure2", "--loss-min", "2", "--loss-max", "1"), "option '--loss-max'"),
+        (("figure2", "--loss-min", "-1"), "option '--loss-min'"),
+        (("overhead", "--m", "5", "--eta", "0.1"), "option '--m'"),
+        (("overhead", "--eta", "2"), "option '--eta'"),
+        (("simulate", "--config", str(tmp_path / "missing.cfg")), "option '--config'"),
+        (("overhead", "--config", str(tmp_path)), "option '--config'"),
+        (("simulate", "--out", str(tmp_path / "missing" / "x.csv")), "option '--out'"),
     ):
         code, _ = run_cli(*argv)
         assert code == EXIT_CONFIG_ERROR, argv
-        assert f"config key '{key}'" in capsys.readouterr().err, argv
+        assert capsys.readouterr().err.startswith(f"error: {prefix}: "), argv
+
+
+def test_failed_run_leaves_out_file_untouched(tmp_path):
+    prior = tmp_path / "prior.csv"
+    prior.write_bytes(b"keep\r\n\x00tail")
+    code, text = run_cli("simulate", "--out", str(prior), "--K", "0")
+    assert (code, text) == (EXIT_CONFIG_ERROR, "")
+    assert prior.read_bytes() == b"keep\r\n\x00tail"
+    # A verify run that finds a failing check still writes its CSV.
+    code, text = run_cli(
+        "verify", "--dim", "2", "--samples", "10", "--scatter-samples", "5",
+        "--violate-constraints", "--out", str(prior),
+    )
+    assert (code, text) == (EXIT_VERIFY_FAILED, "")
+    assert prior.read_text().startswith("check,result\n") and ",fail" in prior.read_text()
 
 
 def test_readme_lists_the_keys_each_command_reads():
@@ -245,10 +267,12 @@ GOLDEN_DIGESTS = {
     # D > 0.5 here, and the command still succeeds.
     "figure2 --gamma 0.8 --mu 0.3 --steps 7":
         "1f3a1e2fc5e5c9b146c29bb1dd47343819480f0de6fbdbdd723aaa751e2ce9d7",
+    # Re-pinned when the Monte-Carlo escape began drawing the overlap
+    # directly; OVERHEAD_NON_MC_CELLS holds what stayed put.
     "overhead --K 100 --H3 20 --m 20 --trials 1000 --seed 3":
-        "bb636e56ae518f972dbc54ce65cd1ecdb90d75a1093e5827b8b2f60b5d672425",
+        "96975ab9dd3be64c5116c9cfc477c784bb354d4ef8c0cf35cb05bb213ad5ebb3",
     "overhead --K 1000 --H3 93 --eta 0.1 --trials 1":
-        "3170d3505f07fbf6b58cafb3d42de8ae6c80aba85cc9f768bce76192e7e2045d",
+        "ed5a260d6aeaa04fb43c8fcef43f3f5cf3dfa41ccde2355c84b7988563782ca5",
     "overhead --K 50 --H3 0":
         "1c1c32a27405a16871184c12fb7544ac197ea53affbfe0dcc3d50e064fde3069",
     "verify --dim 4 --samples 10 --scatter-samples 20 --seed 5":
@@ -257,8 +281,9 @@ GOLDEN_DIGESTS = {
 
 # Config file lines, then the flags: pins default < file < flag.
 GOLDEN_CONFIG_DIGESTS = {
+    # Re-pinned with the two overhead digests above.
     ("overhead", "K = 60\nH3 = 12\ntrials = 500\nseed = 9\n", "--H3 10"):
-        "d0c952d4eacdd653a1176821cef294de5fe66db188cbdab467ba22597e2823c3",
+        "885c12de89ee024f260412e47e15873753fb99f17f6d742f5e2f4f261160591f",
     ("figure2", "gamma = 0.02\nmu = 0.03\n", "--mu 0.01 --steps 5"):
         "3e0b2bb76ad391d4243eaba181d9db1055f5969eb0d620b6e5281ea176deb1a1",
     ("verify", "seed = 4\n", "--samples 10 --scatter-samples 20"):
@@ -282,6 +307,29 @@ def test_other_commands_match_golden_digests(tmp_path):
         assert code == EXIT_OK, command
         config_digests[command, lines, flags] = hashlib.sha256(text.encode()).hexdigest()
     assert config_digests == GOLDEN_CONFIG_DIGESTS
+
+
+# The cells of the re-pinned overhead runs that no Monte-Carlo draw feeds,
+# recorded before the re-pin: K,H3,m,exact,bound_S8 and the sizing row.
+OVERHEAD_NON_MC_CELLS = {
+    ("overhead", "--K 100 --H3 20 --m 20 --trials 1000 --seed 3"):
+        ("100,20,20,0.110036023,0.210297764", "0.01,0.1,93,93,186,1767,279"),
+    ("overhead", "--K 1000 --H3 93 --eta 0.1 --trials 1"):
+        ("1000,93,100,0.00759623762,0.0146812387", "0.01,0.1,93,93,186,2325,279"),
+    ("overhead", "--config {config} --H3 10"):
+        ("60,10,12,0.335296605,0.460951589", "0.01,0.1,93,93,186,1581,279"),
+}
+
+
+def test_repinned_overhead_runs_keep_their_non_mc_cells(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("K = 60\nH3 = 12\ntrials = 500\nseed = 9\n")
+    for (command, flags), (escape, sizing) in OVERHEAD_NON_MC_CELLS.items():
+        code, text = run_cli(command, *flags.format(config=config).split())
+        assert code == EXIT_OK, flags
+        lines = text.splitlines()
+        assert ",".join(lines[1].split(",")[:5]) == escape, flags
+        assert lines[4] == sizing, flags
 
 
 def test_overhead_table_and_sizing():

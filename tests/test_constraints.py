@@ -22,6 +22,8 @@ from decoyroute.constraints import (
     trace_distance,
 )
 
+import oracles
+
 
 def identity_pair(dim: int) -> LinkUnitaryPair:
     eye = np.eye(dim)
@@ -130,6 +132,12 @@ def test_no_leak_without_disturbance_inequality():
 
 def test_scatter_is_seeded():
     assert tradeoff_scatter(10, 3, seed=5) == tradeoff_scatter(10, 3, seed=5)
+
+
+def test_scatter_matches_the_per_sample_loop():
+    for samples, d in ((50, 2), (50, 3), (50, 4), (50, 8), (1030, 2)):
+        expected = oracles.scalar_tradeoff_scatter(samples, d, seed=d)
+        assert tradeoff_scatter(samples, d, seed=d) == expected, (samples, d)
 
 
 def test_trace_distance_basics():

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from statistics import NormalDist
 
 import pytest
 
@@ -153,10 +155,60 @@ def test_overhead_fraction_vanishes():
 
 
 def test_montecarlo_agrees_with_exact():
+    # Family-wise false-failure probability 1e-6 over three two-sided checks
+    # (z ~ 5.10).  At 1e7 trials the absolute tolerance is 0.24x that of the
+    # earlier 3 stderr at 2e5 trials.
+    z = NormalDist().inv_cdf(1 - 1e-6 / 6)
     for K, H3, m in [(2, 1, 1), (20, 5, 8), (100, 20, 20)]:
         exact = exact_escape_prob(K, H3, m)
-        estimate, stderr = montecarlo_escape(K, H3, m, trials=200_000, seed=11)
-        assert abs(estimate - exact) <= 3.0 * stderr, (K, H3, m, estimate, exact, stderr)
+        estimate, stderr = montecarlo_escape(K, H3, m, trials=10_000_000, seed=11)
+        assert abs(estimate - exact) <= z * stderr, (K, H3, m, estimate, exact, stderr)
+
+
+# Includes m = 0, m = K and H3 = K, where the overlap is fixed and the
+# standard error is zero.
+ESCAPE_GRID = [
+    (1, 1, 0), (1, 1, 1), (6, 2, 0), (6, 2, 3), (6, 2, 6),
+    (12, 5, 1), (12, 5, 4), (12, 5, 12), (12, 12, 7), (20, 5, 8),
+]
+
+
+def test_overlap_and_subset_montecarlo_agree_with_exact_and_each_other():
+    # Three two-sided checks per cell, family-wise false-failure probability
+    # 1e-6.  The 1e-12 covers the rounding of the exact sum where stderr is 0.
+    z = NormalDist().inv_cdf(1 - 1e-6 / (2 * 3 * len(ESCAPE_GRID)))
+    for K, H3, m in ESCAPE_GRID:
+        exact = exact_escape_prob(K, H3, m)
+        overlap, overlap_se = montecarlo_escape(K, H3, m, trials=200_000, seed=21)
+        subset, subset_se = oracles.subset_escape_montecarlo(K, H3, m, trials=200_000, seed=22)
+        case = (K, H3, m, exact, overlap, overlap_se, subset, subset_se)
+        assert abs(overlap - exact) <= z * overlap_se + 1e-12, case
+        assert abs(subset - exact) <= z * subset_se + 1e-12, case
+        assert abs(overlap - subset) <= z * math.hypot(overlap_se, subset_se) + 1e-12, case
+
+
+def test_montecarlo_memory_does_not_grow_with_K():
+    tracemalloc.start()
+    try:
+        montecarlo_escape(10**8, 93, 10**7, 10**6, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+def test_montecarlo_single_trial_scores_a_power_of_half():
+    estimate, stderr = montecarlo_escape(10**7, 93, 10**6, trials=1, seed=5)
+    assert stderr == 0.0
+    assert estimate in [0.5**j for j in range(94)]
+
+
+def test_montecarlo_rejects_populations_numpy_cannot_draw():
+    # numpy draws a hypergeometric only while both populations stay below 1e9.
+    for K, H3 in ((10**9 + 93, 93), (2 * 10**9, 10**9), (10**9, 10**9)):
+        with pytest.raises(ValueError, match=r"\bK\b"):
+            montecarlo_escape(K, H3, 10, trials=1, seed=0)
+    assert montecarlo_escape(10**9 + 92, 93, 10, trials=1, seed=0)[1] == 0.0
 
 
 def test_montecarlo_no_decoys_is_exactly_one():
