@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,8 @@ class AttackConfig:
     ``eta_path`` is the fraction of round trips whose propagation mode Eve
     measures, ``eta_msg`` the fraction whose qubit content she measures.
     A rate only takes effect when ``mode`` enables that attack kind;
-    ``mode = NONE`` forces both effective rates to zero.
+    ``mode = NONE`` forces both effective rates to zero.  The effective
+    rates are computed once per config, since every transaction reads them.
     """
 
     mode: AttackMode = AttackMode.NONE
@@ -53,11 +55,11 @@ class AttackConfig:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
-    @property
+    @cached_property
     def path_rate(self) -> float:
         return self.eta_path if self.mode in (AttackMode.PATH, AttackMode.BOTH) else 0.0
 
-    @property
+    @cached_property
     def message_rate(self) -> float:
         return self.eta_msg if self.mode in (AttackMode.MESSAGE, AttackMode.BOTH) else 0.0
 

@@ -132,6 +132,11 @@ def cmd_overhead(args: argparse.Namespace, out: IO[str]) -> int:
         raise ConfigError("m", f"must be in [0, K], got {m}")
     if H3 > K:
         raise ConfigError("H3", f"must be in [0, K], got {H3}")
+    if H3 and m and max(H3, K - H3) >= overhead.MC_POPULATION_LIMIT:
+        raise ConfigError("K", f"must keep H3 and K - H3 below 1e9, got {K}")
+    for name in ("epsilon", "eta_max"):
+        if not 0.0 < getattr(args, name) < 1.0:
+            raise ConfigError(name, f"must be in (0, 1), got {getattr(args, name)}")
 
     exact = overhead.exact_escape_prob(K, H3, m)
     eta = m / K
@@ -161,8 +166,11 @@ def cmd_overhead(args: argparse.Namespace, out: IO[str]) -> int:
 
 def cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
     seed = layer("verify", DEFAULTS["verify"], args.config, vars(args))["seed"]
-    if args.scatter_samples < 1:
-        raise ConfigError("scatter_samples", f"must be >= 1, got {args.scatter_samples}")
+    if args.dim < 2:
+        raise ConfigError("dim", f"must be >= 2, got {args.dim}")
+    for name in ("samples", "scatter_samples"):
+        if getattr(args, name) < 1:
+            raise ConfigError(name, f"must be >= 1, got {getattr(args, name)}")
     checks, scatter = constraints.run_verification(
         dim=args.dim,
         samples=args.samples,

@@ -23,6 +23,8 @@ import numpy as np
 
 _LOG_HALF = math.log(0.5)
 _MC_CHUNK = 1 << 16
+# numpy's bound on each population of a hypergeometric draw.
+MC_POPULATION_LIMIT = 10**9
 
 _log_fact_table = np.zeros(1)
 
@@ -198,7 +200,7 @@ def montecarlo_escape(
         raise ValueError(f"H3 must be in [0, K], got {H3}")
     if H3 == 0 or m_intercepted == 0:
         return 1.0, 0.0
-    if max(H3, K - H3) >= 10**9:  # numpy's bound on each hypergeometric population
+    if max(H3, K - H3) >= MC_POPULATION_LIMIT:
         raise ValueError(f"K must keep H3 and K - H3 below 1e9, got K = {K}")
 
     rng = np.random.default_rng(seed)

@@ -17,6 +17,7 @@ flags an eavesdropper.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -104,20 +105,42 @@ class DisturbanceStats:
         return self.type3_errors / self.type3_trials
 
 
+DRAW_BLOCK = 1024  # doubles per refill: about 32 KB of Python floats per stream
+
+
+class BlockDraws:
+    """Serves ``generator.random()`` values in order, from blocks of ``DRAW_BLOCK``."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, generator: np.random.Generator) -> None:
+        blocks = iter(lambda: generator.random(DRAW_BLOCK).tolist(), None)
+        self.random = itertools.chain.from_iterable(blocks).__next__
+
+
 @dataclass
 class Streams:
-    """Per-subsystem random generators for one simulated pair."""
+    """Per-subsystem draw sources for one simulated pair.
 
-    channel: np.random.Generator
-    measurement: np.random.Generator
-    eve: np.random.Generator
+    The slot runners call only ``random()`` on each field, so a field may
+    be a raw ``np.random.Generator`` or the :class:`BlockDraws` that
+    :meth:`from_seed` wraps around it.  Both give the same values in the
+    same order: PCG64 yields one double per 64-bit output, so block draws
+    equal scalar draws.  A block source reads ahead of the run by up to
+    one block, which nothing observes because its generator is never read
+    again after the run.
+    """
+
+    channel: BlockDraws | np.random.Generator
+    measurement: BlockDraws | np.random.Generator
+    eve: BlockDraws | np.random.Generator
 
     @classmethod
     def from_seed(cls, root_seed: int, pair_index: int = 0) -> "Streams":
         return cls(
-            channel=seeding.stream_rng(root_seed, "channel", pair_index),
-            measurement=seeding.stream_rng(root_seed, "measurement", pair_index),
-            eve=seeding.stream_rng(root_seed, "eve", pair_index),
+            channel=BlockDraws(seeding.stream_rng(root_seed, "channel", pair_index)),
+            measurement=BlockDraws(seeding.stream_rng(root_seed, "measurement", pair_index)),
+            eve=BlockDraws(seeding.stream_rng(root_seed, "eve", pair_index)),
         )
 
 

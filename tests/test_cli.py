@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from decoyroute import overhead
 from decoyroute.cli import DEFAULTS, EXIT_CONFIG_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, fmt, main
 from decoyroute.config import KEYS, RunConfig
 
@@ -170,6 +171,10 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys):
         (("simulate", "--config", str(tmp_path / "missing.cfg")), "option '--config'"),
         (("overhead", "--config", str(tmp_path)), "option '--config'"),
         (("simulate", "--out", str(tmp_path / "missing" / "x.csv")), "option '--out'"),
+        (("verify", "--dim", "0"), "option '--dim'"),
+        (("verify", "--samples", "0"), "option '--samples'"),
+        (("overhead", "--epsilon", "0"), "option '--epsilon'"),
+        (("overhead", "--eta-max", "1"), "option '--eta-max'"),
     ):
         code, _ = run_cli(*argv)
         assert code == EXIT_CONFIG_ERROR, argv
@@ -359,6 +364,22 @@ def test_overhead_no_decoys():
     row = text.strip().splitlines()[1].split(",")
     assert float(row[3]) == 1.0
     assert float(row[5]) == 1.0
+
+
+def test_overhead_rejects_k_past_the_hypergeometric_limit(monkeypatch, capsys):
+    # Neither kernel may run: the exact one would allocate 8 bytes per slot.
+    def must_not_run(*args):
+        raise AssertionError("kernel ran before the K check")
+
+    monkeypatch.setattr(overhead, "exact_escape_prob", must_not_run)
+    monkeypatch.setattr(overhead, "montecarlo_escape", must_not_run)
+    for argv in (
+        ("--K", "1000000020", "--H3", "20"),
+        ("--K", "1500000000", "--H3", "1000000000", "--m", "5"),
+    ):
+        code, text = run_cli("overhead", *argv)
+        assert (code, text) == (EXIT_CONFIG_ERROR, ""), argv
+        assert capsys.readouterr().err.startswith("error: config key 'K': "), argv
 
 
 def test_overhead_rejects_m_and_eta_together():

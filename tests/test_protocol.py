@@ -17,7 +17,8 @@ from decoyroute import (
     run_type2_slot,
     run_type3_slot,
 )
-from decoyroute.protocol import PairSchedule
+from decoyroute import seeding
+from decoyroute.protocol import DRAW_BLOCK, PairSchedule
 
 import oracles
 
@@ -303,6 +304,48 @@ def test_run_simulation_attack_mode_does_not_shift_channel_noise():
         attack=AttackConfig(mode=AttackMode.MESSAGE, eta_msg=1.0), **kwargs
     )
     assert quiet.pairs[0].stats.type3_errors == noisy.pairs[0].stats.type3_errors
+
+
+STREAM_NAMES = ("channel", "measurement", "eve")
+
+
+@pytest.mark.parametrize("pair_index", [0, 5])
+@pytest.mark.parametrize("name", STREAM_NAMES)
+def test_block_draws_equal_scalar_draws(name, pair_index):
+    n = 3 * DRAW_BLOCK + 17
+    source = getattr(Streams.from_seed(31, pair_index), name)
+    drawn = [source.random() for _ in range(n)]
+    assert drawn == seeding.stream_rng(31, name, pair_index).random(n).tolist()
+
+
+@pytest.mark.parametrize("slot_type", [1, 2, 3])
+def test_runners_on_block_draws_match_raw_generators(slot_type):
+    channel = ChannelModel(T=0.8, gamma=0.05, mu=0.03)
+    attack = AttackConfig(mode=AttackMode.BOTH, eta_path=0.4, eta_msg=0.3)
+    raw = Streams(**{name: seeding.stream_rng(41, name) for name in STREAM_NAMES})
+    runs = []
+    for streams in (raw, Streams.from_seed(41)):
+        eve = Eavesdropper(attack)
+        stats = DisturbanceStats()
+        results = []
+        for i in range(3000):
+            if slot_type == 1:
+                results.append(run_type1_slot(2 * i, 0, 1, i % 2, channel, eve, streams))
+            elif slot_type == 2:
+                basis = Basis.Z if i % 3 else Basis.X
+                results.append(
+                    run_type2_slot(2 * i, 0, 1, basis, channel, eve, streams, stats)
+                )
+            else:
+                results.append(run_type3_slot(2 * i, 0, 1, channel, eve, streams, stats))
+        runs.append((results, stats, eve.ledger))
+    assert runs[0] == runs[1]
+    results, stats, ledger = runs[0]
+    # Losses, noise and both attack kinds all fired, so every draw mattered.
+    assert len(set(results)) > 1
+    assert ledger.learned_endpoints and ledger.learned_bits
+    if slot_type != 1:
+        assert 0 < stats.type2_errors + stats.type3_errors < 3000
 
 
 def test_no_attack_leaves_ledger_empty():
