@@ -14,6 +14,10 @@ what the path-decoy slots detect.  Content measurements act only on the
 qubit riding in the packet and leave the propagation mode untouched; on a
 message-decoy slot they disturb the bit exactly as an intercept-resend does
 in BB84.
+
+Qubits are plain ``(bit, z)`` pairs, as in :mod:`decoyroute.quantum`.  The
+kernels here take their rates unchecked: :class:`AttackConfig` checks them
+once, when the run is configured.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quantum import Basis, PathPacket, QubitPreparation, measure_qubit
+from .quantum import measure_qubit
 
 
 class AttackMode(enum.Enum):
@@ -66,16 +70,15 @@ class AttackConfig:
 
 @dataclass
 class EveLedger:
-    """Append-only record of Eve's interceptions within one run."""
+    """Append-only record of Eve's interceptions within one run.
+
+    ``learned_endpoints`` holds ``(cycle, sender, receiver)`` per mode
+    measurement, ``learned_bits`` holds ``(cycle, bit, z)`` per content
+    measurement: the bit she observed and whether she measured in Z.
+    """
 
     learned_endpoints: list[tuple[int, int, int]] = field(default_factory=list)
-    learned_bits: list[tuple[int, int, Basis]] = field(default_factory=list)
-
-    def record_endpoints(self, cycle: int, sender: int, receiver: int) -> None:
-        self.learned_endpoints.append((cycle, sender, receiver))
-
-    def record_bit(self, cycle: int, bit: int, basis: Basis) -> None:
-        self.learned_bits.append((cycle, bit, basis))
+    learned_bits: list[tuple[int, int, bool]] = field(default_factory=list)
 
 
 @dataclass
@@ -86,38 +89,32 @@ class Eavesdropper:
     ledger: EveLedger = field(default_factory=EveLedger)
 
 
-def decide_intercept(cycle: int, rate: float, rng: np.random.Generator) -> bool:
+def decide_intercept(rate: float, rng: np.random.Generator) -> bool:
     """Bernoulli interception decision for one round trip, independent per cycle."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must be in [0, 1], got {rate}")
-    return bool(rng.random() < rate)
+    return rng.random() < rate
 
 
-def intercept_message(
-    prep: QubitPreparation, rng: np.random.Generator
-) -> tuple[QubitPreparation, int, Basis]:
-    """Measure a qubit's content in a uniformly chosen basis and resend the outcome.
+def intercept_message(bit: int, z: bool, rng: np.random.Generator) -> tuple[int, bool]:
+    """Measure the qubit ``(bit, z)`` in a uniformly chosen basis and resend the outcome.
 
-    Returns the resent preparation (the eigenstate Eve observed), the bit
-    she recorded, and the basis she used.  With a matching basis the
-    resend is transparent; with the conjugate basis the resent state is
-    uncorrelated with the original, which is what trips the message-decoy
-    check downstream.
+    Returns the eigenstate Eve observed, ``(eve_bit, eve_z)``: both what she
+    records and the qubit she resends.  With a matching basis the resend is
+    transparent; with the conjugate basis the resent state is uncorrelated
+    with the original, which is what trips the message-decoy check
+    downstream.
     """
-    eve_basis = Basis.Z if rng.random() < 0.5 else Basis.X
-    eve_bit = measure_qubit(prep, eve_basis, 0.0, rng)
-    return QubitPreparation(eve_basis, eve_bit), eve_bit, eve_basis
+    eve_z = rng.random() < 0.5
+    return measure_qubit(bit, z, eve_z, 0.0, rng), eve_z
 
 
-def intercept_path(packet: PathPacket) -> tuple[PathPacket, tuple[int, int, int]]:
-    """Measure a path packet's propagation mode, learning sender, receiver and cycle.
+def intercept_path(ledger: EveLedger, cycle: int, sender: int, receiver: int) -> None:
+    """Measure a round trip's propagation mode, recording its cycle and endpoints.
 
-    The measurement acquires which-path information and returns the packet
-    collapsed; the later interference readout at the origin then turns
-    into a coin flip.  (A single-mode packet's label is classical: the
-    slot runners record it without touching the packet.)
+    A single-mode packet's label is classical, so reading it leaves the
+    packet undisturbed.  A path packet's superposition is destroyed: the
+    later interference readout at the origin then turns into a coin flip.
     """
-    return packet.collapse(), (packet.origin, packet.partner, packet.cycle)
+    ledger.learned_endpoints.append((cycle, sender, receiver))
 
 
 def learned_traffic_fraction(learned: int, total: int) -> float:

@@ -32,10 +32,6 @@ class ChannelModel:
     def from_loss_db(cls, loss_db: float, gamma: float = 0.0, mu: float = 0.0) -> "ChannelModel":
         return cls(T=loss_db_to_T(loss_db), gamma=gamma, mu=mu)
 
-    @property
-    def round_trip_survival(self) -> float:
-        return self.T * self.T
-
 
 def loss_db_to_T(loss_db: float) -> float:
     """Convert a channel loss in dB to a survival probability T = 10^(-dB/10)."""
@@ -45,7 +41,8 @@ def loss_db_to_T(loss_db: float) -> float:
 
 
 def transmit(T: float, rng: np.random.Generator) -> bool:
-    """Sample one photon transmission: survives with probability T."""
-    if not 0.0 <= T <= 1.0:
-        raise ValueError(f"T must be in [0, 1], got {T}")
-    return bool(rng.random() < T)
+    """Sample one photon transmission: survives with probability T.
+
+    ``T`` is taken unchecked; :class:`ChannelModel` checks it once.
+    """
+    return rng.random() < T

@@ -6,15 +6,19 @@ Floats are emitted with 9 significant digits so golden files are portable.
 
 Exit status: 0 on success, 1 when `verify` finds a failing check, 2 for
 configuration or usage errors, including a `--config` file that cannot be
-read and an `--out` path that cannot be written.  Output is buffered, so a
-run that exits 2 leaves an existing `--out` file as it was.
+read and an `--out` path that cannot be written, and 3 for an internal
+error: any other exception, reported as `internal error` with its
+traceback on stderr.  Output is buffered, so a run that exits 2 or 3
+leaves an existing `--out` file as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
+import traceback
 from pathlib import Path
 from typing import IO
 
@@ -25,6 +29,7 @@ from .protocol import run_simulation
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 # The config keys each subcommand reads, with their defaults; simulate reads
 # the fields of RunConfig.
@@ -51,10 +56,12 @@ def _row(*cells) -> str:
 
 
 def cmd_figure2(args: argparse.Namespace, out: IO[str]) -> int:
-    if not args.loss_min >= 0:
-        raise ConfigError("loss_min", f"must be >= 0, got {args.loss_min}")
-    if not args.loss_max >= args.loss_min:
-        raise ConfigError("loss_max", f"must be >= loss-min {args.loss_min}, got {args.loss_max}")
+    if not 0 <= args.loss_min < math.inf:
+        raise ConfigError("loss_min", f"must be finite and >= 0, got {args.loss_min}")
+    if not args.loss_min <= args.loss_max < math.inf:
+        raise ConfigError(
+            "loss_max", f"must be finite and >= loss-min {args.loss_min}, got {args.loss_max}"
+        )
     if args.steps < 2:
         raise ConfigError("steps", f"must be >= 2, got {args.steps}")
     values = layer("figure2", DEFAULTS["figure2"], args.config, vars(args))
@@ -94,10 +101,10 @@ def cmd_simulate(args: argparse.Namespace, out: IO[str]) -> int:
                 f"{pair.sender}-{pair.receiver}",
                 pair.stats.type2_trials,
                 pair.stats.type2_errors,
-                pair.d2_hat,
+                pair.stats.d2_hat,
                 pair.stats.type3_trials,
                 pair.stats.type3_errors,
-                pair.d3_hat,
+                pair.stats.d3_hat,
                 pair.eve_learned_fraction,
                 pair.detected,
             )
@@ -119,6 +126,8 @@ def cmd_simulate(args: argparse.Namespace, out: IO[str]) -> int:
 def cmd_overhead(args: argparse.Namespace, out: IO[str]) -> int:
     values = layer("overhead", DEFAULTS["overhead"], args.config, vars(args))
     K, H3, trials, seed = values["K"], values["H3"], values["trials"], values["seed"]
+    if K < 2:
+        raise ConfigError("K", f"must be >= 2, got {K}")
 
     if args.m is not None and args.eta is not None:
         raise ConfigError("m", "give either --m or --eta, not both")
@@ -254,9 +263,13 @@ def main(argv: list[str] | None = None, stdout: IO[str] | None = None) -> int:
             except OSError as exc:
                 raise ConfigError("out", f"cannot write {args.out}: {exc.strerror}") from None
         return code
-    except ValueError as exc:  # ConfigError included
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except Exception:
+        print("internal error", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -169,6 +169,8 @@ class RunConfig:
         """The rules that involve more than one key; :data:`KEYS` checks each alone."""
         if self.T is not None and self.loss_db is not None:
             raise ConfigError("T", "give either T or loss_db, not both")
+        if self.K >= 2**63:
+            raise ConfigError("K", f"must be below 2**63 so cycles fit in int64, got {self.K}")
         if self.H2 + self.H3 > max_decoys_per_pair(self.K):
             raise ConfigError(
                 "K",

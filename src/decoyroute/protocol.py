@@ -34,13 +34,7 @@ from .adversary import (
 )
 from .analysis import baseline_disturbance, inferred_eta, leaked_fraction, message_error
 from .channel import ChannelModel, transmit
-from .quantum import (
-    Basis,
-    QubitPreparation,
-    interfere_path_packet,
-    measure_qubit,
-    prepare_path_packet,
-)
+from .quantum import interfere_path_packet, measure_qubit, prepare_path_packet
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,14 +197,29 @@ def generate_schedule(
     return Schedule(K=K, assignments=assignments, shared_seed=shared_seed)
 
 
-def _eve_decisions(
-    cycle: int, eve: Eavesdropper, rng: np.random.Generator
-) -> tuple[bool, bool]:
+def _eve_taps(
+    cycle: int,
+    sender: int,
+    receiver: int,
+    qubit: tuple[int, bool],
+    eve: Eavesdropper,
+    rng: np.random.Generator,
+) -> tuple[bool, tuple[int, bool]]:
+    """Eve's interceptions of one round trip carrying ``qubit``.
+
+    Returns whether she measured the propagation mode, and the qubit as it
+    travels on: her resend if she measured the content, else ``qubit``.
+    """
     # Both decisions are drawn every transaction so the eavesdropper
     # stream stays aligned across attack modes.
-    path_hit = decide_intercept(cycle, eve.config.path_rate, rng)
-    msg_hit = decide_intercept(cycle, eve.config.message_rate, rng)
-    return path_hit, msg_hit
+    path_hit = decide_intercept(eve.config.path_rate, rng)
+    msg_hit = decide_intercept(eve.config.message_rate, rng)
+    if path_hit:
+        intercept_path(eve.ledger, cycle, sender, receiver)
+    if msg_hit:
+        qubit = intercept_message(*qubit, rng)
+        eve.ledger.learned_bits.append((cycle, *qubit))
+    return path_hit, qubit
 
 
 def _send_dummy_return(channel: ChannelModel, streams: Streams) -> None:
@@ -231,21 +240,12 @@ def run_type1_slot(
     eve: Eavesdropper,
     streams: Streams,
 ) -> tuple[bool, bool]:
-    """One payload round trip: qubit out, dummy back.
+    """One payload round trip: a Z-basis qubit out, dummy back.
 
     Returns whether the payload was delivered and whether Eve learned its
     endpoints.
     """
-    path_hit, msg_hit = _eve_decisions(cycle, eve, streams.eve)
-
-    if path_hit:
-        # Single-mode label: read out classically, no disturbance.
-        eve.ledger.record_endpoints(cycle, sender, receiver)
-    if msg_hit:
-        prep = QubitPreparation(Basis.Z, payload_bit)
-        _, eve_bit, eve_basis = intercept_message(prep, streams.eve)
-        eve.ledger.record_bit(cycle, eve_bit, eve_basis)
-
+    path_hit, _ = _eve_taps(cycle, sender, receiver, (payload_bit, True), eve, streams.eve)
     delivered = transmit(channel.T, streams.channel)
     _send_dummy_return(channel, streams)
     return delivered, path_hit
@@ -255,27 +255,20 @@ def run_type2_slot(
     cycle: int,
     sender: int,
     receiver: int,
-    basis: Basis,
+    z: bool,
     channel: ChannelModel,
     eve: Eavesdropper,
     streams: Streams,
     stats: DisturbanceStats,
 ) -> bool:
-    """One message-integrity decoy in ``basis``; returns whether it counted an error."""
-    path_hit, msg_hit = _eve_decisions(cycle, eve, streams.eve)
+    """One message-integrity decoy in the Z basis if ``z``, else X.
 
+    Returns whether it counted an error.
+    """
     sent_bit = int(streams.measurement.random() < 0.5)
-    prep = QubitPreparation(basis, sent_bit)
-    if path_hit:
-        # Single-mode label: read out classically, no disturbance.
-        eve.ledger.record_endpoints(cycle, sender, receiver)
-    if msg_hit:
-        prep, eve_bit, eve_basis = intercept_message(prep, streams.eve)
-        eve.ledger.record_bit(cycle, eve_bit, eve_basis)
-
-    survived = transmit(channel.T, streams.channel)
-    if survived:
-        measured = measure_qubit(prep, basis, channel.mu, streams.measurement)
+    _, qubit = _eve_taps(cycle, sender, receiver, (sent_bit, z), eve, streams.eve)
+    if transmit(channel.T, streams.channel):
+        measured = measure_qubit(*qubit, z, channel.mu, streams.measurement)
     else:
         measured = int(streams.measurement.random() < 0.5)
     error = measured != sent_bit
@@ -296,24 +289,16 @@ def run_type3_slot(
     stats: DisturbanceStats,
 ) -> bool:
     """One path-integrity decoy; returns whether it counted an error."""
-    path_hit, msg_hit = _eve_decisions(cycle, eve, streams.eve)
+    sign, dummy = prepare_path_packet(streams.measurement)
+    # A content tap touches only the dummy payload, not the mode.
+    path_hit, _ = _eve_taps(cycle, sender, receiver, dummy, eve, streams.eve)
 
-    packet = prepare_path_packet(sender, receiver, cycle, streams.measurement)
-    if path_hit:
-        packet, (s, r, n) = intercept_path(packet)
-        eve.ledger.record_endpoints(n, s, r)
-    if msg_hit:
-        # Content tap touches only the dummy payload, not the mode.
-        _, eve_bit, eve_basis = intercept_message(packet.dummy, streams.eve)
-        eve.ledger.record_bit(cycle, eve_bit, eve_basis)
-
-    # Ideal resend hardware: interception leaves survival untouched.
+    # Ideal resend hardware: interception leaves survival untouched, but a
+    # mode measurement destroys the superposition.
     out_leg = transmit(channel.T, streams.channel)
     back_leg = transmit(channel.T, streams.channel)
-    outcome = interfere_path_packet(
-        packet, out_leg and back_leg, channel.gamma, streams.measurement
-    )
-    error = outcome != packet.sign
+    intact = out_leg and back_leg and not path_hit
+    error = interfere_path_packet(sign, intact, channel.gamma, streams.measurement) != sign
     stats.type3_trials += 1
     stats.type3_errors += int(error)
     return error
@@ -325,10 +310,11 @@ def detect_eavesdropper(
     threshold2: float,
     threshold3: float,
 ) -> bool:
-    """Flag an eavesdropper when either defined disturbance exceeds its threshold."""
-    for name, threshold in (("threshold2", threshold2), ("threshold3", threshold3)):
-        if not 0.0 <= threshold <= 0.5:
-            raise ValueError(f"{name} must be in [0, 0.5], got {threshold}")
+    """Flag an eavesdropper when either defined disturbance exceeds its threshold.
+
+    The thresholds are taken unchecked; :func:`run_simulation` checks them
+    once, on entry.
+    """
     exceeded2 = d2_hat is not None and d2_hat > threshold2
     exceeded3 = d3_hat is not None and d3_hat > threshold3
     return bool(exceeded2 or exceeded3)
@@ -360,14 +346,6 @@ class PairResult:
     type1_delivered: int
     eve_learned_type1: int
     detected: bool
-
-    @property
-    def d2_hat(self) -> float | None:
-        return self.stats.d2_hat
-
-    @property
-    def d3_hat(self) -> float | None:
-        return self.stats.d3_hat
 
     @property
     def eve_learned_fraction(self) -> float | None:
@@ -413,6 +391,9 @@ def run_simulation(
     """
     if traffic not in ("full", "silent"):
         raise ValueError(f"traffic must be 'full' or 'silent', got {traffic}")
+    for name, threshold in (("threshold2", threshold2), ("threshold3", threshold3)):
+        if threshold is not None and not 0.0 <= threshold <= 0.5:
+            raise ValueError(f"{name} must be in [0, 0.5], got {threshold}")
     if node_pairs is None:
         node_pairs = [(0, 1)]
     attack = attack or AttackConfig()
@@ -456,8 +437,7 @@ def run_simulation(
                 # A payload's return may not land on the decoy's cycle.
                 run_payloads(cycle - 1)
             if is_type2:
-                basis = Basis.Z if z_basis else Basis.X
-                run_type2_slot(cycle, sender, receiver, basis, channel, eve, streams, stats)
+                run_type2_slot(cycle, sender, receiver, z_basis, channel, eve, streams, stats)
             else:
                 run_type3_slot(cycle, sender, receiver, channel, eve, streams, stats)
             free = cycle + 2

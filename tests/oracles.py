@@ -130,7 +130,7 @@ def scalar_tradeoff_scatter(samples: int, d: int, seed: int) -> list[tuple[float
     probe; scored by the library's per-sample disturbance and
     indistinguishability kernels.
     """
-    from decoyroute import (
+    from decoyroute.constraints import (
         LinkUnitaryPair,
         ProbeSpace,
         traffic_indistinguishability,

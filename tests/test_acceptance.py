@@ -16,30 +16,32 @@ from decoyroute import (
     AttackConfig,
     AttackMode,
     ChannelModel,
+    alpha_for,
+    exact_escape_prob,
+    loss_threshold,
+    run_simulation,
+    security_curve,
+)
+from decoyroute.cli import main as cli_main
+from decoyroute.constraints import (
     ProbeSpace,
     build_constrained_unitary,
     constrained_link_pair,
-    exact_escape_prob,
-    alpha_for,
-    bound_escape_prob,
-    loss_threshold,
-    montecarlo_escape,
+    controlled_flip_unitary,
+    disturbance_floor,
     random_unitary,
-    required_overhead,
-    run_simulation,
-    security_curve,
-    total_overhead,
+    swap_unitary,
     tradeoff_scatter,
     traffic_indistinguishability,
     type2_disturbance_of,
     type2_leakage_of,
     type3_disturbance_of,
 )
-from decoyroute.cli import main as cli_main
-from decoyroute.constraints import (
-    controlled_flip_unitary,
-    disturbance_floor,
-    swap_unitary,
+from decoyroute.overhead import (
+    bound_escape_prob,
+    montecarlo_escape,
+    required_overhead,
+    total_overhead,
 )
 
 import numpy as np
@@ -94,7 +96,7 @@ def test_criterion_2_path_tradeoff():
         assert pair.stats.type3_trials == n
         d_expected = eta / 2.0
         d_tol = oracles.binomial_tolerance(d_expected, n)
-        assert pair.d3_hat == pytest.approx(d_expected, abs=d_tol), f"eta={eta}"
+        assert pair.stats.d3_hat == pytest.approx(d_expected, abs=d_tol), f"eta={eta}"
         learn_tol = oracles.binomial_tolerance(eta, n)
         assert pair.type1_slots > 50_000
         assert pair.eve_learned_fraction == pytest.approx(eta, abs=max(learn_tol, 1e-12)), (
@@ -126,10 +128,10 @@ def test_criterion_3_baselines():
             pair = result.pairs[0]
             d3_expected = noise * T * T + (1.0 - T * T) / 2.0
             d3_tol = oracles.binomial_tolerance(d3_expected, n, 3)
-            assert pair.d3_hat == pytest.approx(d3_expected, abs=max(d3_tol, 1e-12)), (T, noise)
+            assert pair.stats.d3_hat == pytest.approx(d3_expected, abs=max(d3_tol, 1e-12)), (T, noise)
             d2_expected = noise * T + (1.0 - T) / 2.0
             d2_tol = oracles.binomial_tolerance(d2_expected, n, 3)
-            assert pair.d2_hat == pytest.approx(d2_expected, abs=max(d2_tol, 1e-12)), (T, noise)
+            assert pair.stats.d2_hat == pytest.approx(d2_expected, abs=max(d2_tol, 1e-12)), (T, noise)
 
 
 @criterion("criterion 4: message intercept-resend disturbance", budget_seconds=10.0)
@@ -148,7 +150,7 @@ def test_criterion_4_message_attack():
     )
     pair = result.pairs[0]
     tol = oracles.binomial_tolerance(expected, n, 3)
-    assert pair.d2_hat == pytest.approx(expected, abs=tol)
+    assert pair.stats.d2_hat == pytest.approx(expected, abs=tol)
 
 
 @criterion("criterion 5: escape probability exactness and bounds", budget_seconds=60.0)

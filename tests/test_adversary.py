@@ -1,58 +1,57 @@
 import numpy as np
 import pytest
 
-from decoyroute import (
+from decoyroute.adversary import (
     AttackConfig,
     AttackMode,
-    Basis,
+    Eavesdropper,
     EveLedger,
-    QubitPreparation,
     decide_intercept,
     intercept_message,
     intercept_path,
     learned_traffic_fraction,
-    prepare_path_packet,
-    interfere_path_packet,
 )
+from decoyroute.channel import ChannelModel
+from decoyroute.protocol import Streams, run_type1_slot
+from decoyroute.quantum import interfere_path_packet, measure_qubit, prepare_path_packet
 
 import oracles
 
 
 def test_decide_intercept_extremes():
     rng = np.random.default_rng(0)
-    assert not any(decide_intercept(c, 0.0, rng) for c in range(1000))
-    assert all(decide_intercept(c, 1.0, rng) for c in range(1000))
+    assert not any(decide_intercept(0.0, rng) for _ in range(1000))
+    assert all(decide_intercept(1.0, rng) for _ in range(1000))
 
 
 def test_decide_intercept_rate():
     n = 100_000
     rng = np.random.default_rng(1)
-    hits = sum(decide_intercept(c, 0.3, rng) for c in range(n))
+    hits = sum(decide_intercept(0.3, rng) for _ in range(n))
     assert hits / n == pytest.approx(0.3, abs=oracles.binomial_tolerance(0.3, n))
 
 
 def test_decide_intercept_rejects_bad_rate():
-    with pytest.raises(ValueError):
-        decide_intercept(0, 1.1, np.random.default_rng(0))
+    # Rates are checked once, when the attack is configured.
+    for rate in (1.1, -0.1):
+        with pytest.raises(ValueError, match="eta_path"):
+            AttackConfig(mode=AttackMode.PATH, eta_path=rate)
+        with pytest.raises(ValueError, match="eta_msg"):
+            AttackConfig(mode=AttackMode.MESSAGE, eta_msg=rate)
 
 
 def test_matching_basis_interception_is_transparent():
     rng = np.random.default_rng(2)
-    prep = QubitPreparation(Basis.Z, 0)
     for _ in range(400):
-        resent, eve_bit, eve_basis = intercept_message(prep, rng)
-        if eve_basis is prep.basis:
-            assert resent == prep and eve_bit == 0
+        eve_bit, eve_z = intercept_message(0, True, rng)
+        if eve_z:
+            assert eve_bit == 0
 
 
 def test_cross_basis_interception_randomizes():
     rng = np.random.default_rng(3)
-    prep = QubitPreparation(Basis.Z, 0)
     cross_bits = [
-        bit
-        for _ in range(20_000)
-        for resent, bit, basis in [intercept_message(prep, rng)]
-        if basis is Basis.X
+        bit for _ in range(20_000) for bit, z in [intercept_message(0, True, rng)] if not z
     ]
     assert len(cross_bits) > 9000
     frequency = sum(cross_bits) / len(cross_bits)
@@ -61,8 +60,6 @@ def test_cross_basis_interception_randomizes():
 
 def test_downstream_error_rate_matches_enumeration_oracle():
     # Receiver re-measures the resent state in the original basis, no other noise.
-    from decoyroute import measure_qubit
-
     expected = oracles.intercept_resend_error_rate()
     assert expected == pytest.approx(0.25, abs=1e-15)
 
@@ -70,24 +67,22 @@ def test_downstream_error_rate_matches_enumeration_oracle():
     rng = np.random.default_rng(4)
     errors = 0
     for i in range(n):
-        basis = Basis.Z if i % 2 else Basis.X
+        z = bool(i % 2)
         bit = (i // 2) % 2
-        prep = QubitPreparation(basis, bit)
-        resent, _, _ = intercept_message(prep, rng)
-        errors += measure_qubit(resent, basis, 0.0, rng) != bit
+        resent = intercept_message(bit, z, rng)
+        errors += measure_qubit(*resent, z, 0.0, rng) != bit
     assert errors / n == pytest.approx(expected, abs=oracles.binomial_tolerance(expected, n))
 
 
 def test_path_interception_collapses_superposition():
     rng = np.random.default_rng(5)
-    packet = prepare_path_packet(0, 1, 3, rng)
-    collapsed, learned = intercept_path(packet)
-    assert collapsed.collapsed and not packet.collapsed
-    assert learned == (0, 1, 3)
+    sign, _ = prepare_path_packet(rng)
+    ledger = EveLedger()
+    intercept_path(ledger, 3, 0, 1)
+    assert ledger.learned_endpoints == [(3, 0, 1)]
+    # The slot runner reads a packet whose mode Eve measured as not intact.
     n = 50_000
-    wrong = sum(
-        interfere_path_packet(collapsed, True, 0.0, rng) != collapsed.sign for _ in range(n)
-    )
+    wrong = sum(interfere_path_packet(sign, False, 0.0, rng) != sign for _ in range(n))
     assert wrong / n == pytest.approx(0.5, abs=oracles.binomial_tolerance(0.5, n))
 
 
@@ -113,8 +108,9 @@ def test_attack_config_rates():
 
 
 def test_ledger_records_endpoints_and_bits():
-    ledger = EveLedger()
-    ledger.record_endpoints(4, 0, 1)
-    ledger.record_bit(9, 1, Basis.Z)
-    assert ledger.learned_endpoints == [(4, 0, 1)]
-    assert ledger.learned_bits == [(9, 1, Basis.Z)]
+    eve = Eavesdropper(AttackConfig(mode=AttackMode.BOTH, eta_path=1.0, eta_msg=1.0))
+    run_type1_slot(4, 0, 1, 1, ChannelModel(), eve, Streams.from_seed(0))
+    assert eve.ledger.learned_endpoints == [(4, 0, 1)]
+    [(cycle, bit, z)] = eve.ledger.learned_bits
+    # A Z-basis measurement of the Z-basis payload reads its bit.
+    assert cycle == 4 and isinstance(z, bool) and (bit == 1 or not z)

@@ -1,18 +1,18 @@
 import pytest
 from scipy import stats
 
-from decoyroute import (
+from decoyroute.analysis import (
     AlreadySaturatedError,
     baseline_disturbance,
     binary_entropy,
     inferred_eta,
     leaked_fraction,
     leaked_fraction_uncapped,
-    loss_db_to_T,
     loss_threshold,
     message_error,
     security_curve,
 )
+from decoyroute.channel import loss_db_to_T
 
 import oracles
 

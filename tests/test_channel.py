@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from decoyroute import ChannelModel, loss_db_to_T, transmit
+from decoyroute.channel import ChannelModel, loss_db_to_T, transmit
 
 import oracles
 
@@ -49,13 +49,15 @@ def test_transmit_matches_bernoulli_mean():
 
 
 def test_transmit_rejects_bad_probability():
-    with pytest.raises(ValueError):
-        transmit(1.2, np.random.default_rng(0))
+    # T is checked once, when the channel is built.
+    for T in (1.2, -0.1):
+        with pytest.raises(ValueError, match="T must be"):
+            ChannelModel(T=T)
 
 
 def test_channel_model_validation_and_round_trip():
     channel = ChannelModel(T=0.8, gamma=0.01, mu=0.02)
-    assert channel.round_trip_survival == pytest.approx(0.64)
+    assert (channel.T, channel.gamma, channel.mu) == (0.8, 0.01, 0.02)
     with pytest.raises(ValueError):
         ChannelModel(T=1.5)
     with pytest.raises(ValueError):

@@ -5,8 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from decoyroute import overhead
-from decoyroute.cli import DEFAULTS, EXIT_CONFIG_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, fmt, main
+from decoyroute import cli, overhead
+from decoyroute.cli import (
+    DEFAULTS,
+    EXIT_CONFIG_ERROR,
+    EXIT_INTERNAL_ERROR,
+    EXIT_OK,
+    EXIT_VERIFY_FAILED,
+    fmt,
+    main,
+)
 from decoyroute.config import KEYS, RunConfig
 
 
@@ -157,6 +165,8 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys):
     for argv, prefix in (
         (("overhead", "--K", "0", "--H3", "0"), "config key 'K'"),
         (("overhead", "--K", "0"), "config key 'K'"),
+        (("overhead", "--K", "1"), "config key 'K'"),
+        (("simulate", "--K", str(10**20)), "config key 'K'"),
         (("overhead", "--trials", "0"), "config key 'trials'"),
         (("verify", "--seed", "-1"), "config key 'seed'"),
         (("figure2", "--gamma", "2"), "config key 'gamma'"),
@@ -166,6 +176,9 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys):
         (("figure2", "--steps", "1"), "option '--steps'"),
         (("figure2", "--loss-min", "2", "--loss-max", "1"), "option '--loss-max'"),
         (("figure2", "--loss-min", "-1"), "option '--loss-min'"),
+        (("figure2", "--loss-max", "inf"), "option '--loss-max'"),
+        (("figure2", "--loss-min", "inf", "--loss-max", "inf"), "option '--loss-min'"),
+        (("figure2", "--loss-min", "nan"), "option '--loss-min'"),
         (("overhead", "--m", "5", "--eta", "0.1"), "option '--m'"),
         (("overhead", "--eta", "2"), "option '--eta'"),
         (("simulate", "--config", str(tmp_path / "missing.cfg")), "option '--config'"),
@@ -179,6 +192,22 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys):
         code, _ = run_cli(*argv)
         assert code == EXIT_CONFIG_ERROR, argv
         assert capsys.readouterr().err.startswith(f"error: {prefix}: "), argv
+
+
+def test_internal_errors_exit_3_with_a_traceback(tmp_path, monkeypatch, capsys):
+    # A ValueError that is not a ConfigError is an engine bug, not a user error.
+    def broken_kernel(**kwargs):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr(cli, "run_simulation", broken_kernel)
+    prior = tmp_path / "prior.csv"
+    prior.write_text("keep")
+    code, text = run_cli("simulate", "--out", str(prior))
+    assert (code, text) == (EXIT_INTERNAL_ERROR, "")
+    assert prior.read_text() == "keep"
+    err = capsys.readouterr().err
+    assert err.startswith("internal error\nTraceback (most recent call last):")
+    assert err.rstrip().endswith("ValueError: engine bug")
 
 
 def test_failed_run_leaves_out_file_untouched(tmp_path):

@@ -1,25 +1,23 @@
 import numpy as np
 import pytest
 
-from decoyroute import (
+from decoyroute.constraints import (
     JointUnitary,
     LinkUnitaryPair,
     ProbeSpace,
     build_constrained_unitary,
     constrained_link_pair,
+    controlled_flip_unitary,
+    disturbance_floor,
     random_unitary,
+    run_verification,
+    swap_unitary,
+    trace_distance,
     tradeoff_scatter,
     traffic_indistinguishability,
     type2_disturbance_of,
     type2_leakage_of,
     type3_disturbance_of,
-)
-from decoyroute.constraints import (
-    controlled_flip_unitary,
-    disturbance_floor,
-    run_verification,
-    swap_unitary,
-    trace_distance,
 )
 
 import oracles

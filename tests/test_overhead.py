@@ -4,7 +4,7 @@ from statistics import NormalDist
 
 import pytest
 
-from decoyroute import (
+from decoyroute.overhead import (
     alpha_for,
     asymptotic_bound,
     beta_for,

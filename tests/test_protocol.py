@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from decoyroute import (
-    AttackConfig,
-    AttackMode,
-    Basis,
-    ChannelModel,
+from decoyroute import protocol, seeding
+from decoyroute.adversary import AttackConfig, AttackMode, Eavesdropper
+from decoyroute.analysis import baseline_disturbance
+from decoyroute.channel import ChannelModel
+from decoyroute.protocol import (
+    DRAW_BLOCK,
     DisturbanceStats,
-    Eavesdropper,
+    PairSchedule,
     Streams,
-    baseline_disturbance,
     detect_eavesdropper,
     generate_schedule,
     run_simulation,
@@ -17,8 +17,6 @@ from decoyroute import (
     run_type2_slot,
     run_type3_slot,
 )
-from decoyroute import seeding
-from decoyroute.protocol import DRAW_BLOCK, PairSchedule
 
 import oracles
 
@@ -152,8 +150,7 @@ class TestType2Slot:
         streams = make_streams(seed)
         stats = DisturbanceStats()
         for i in range(n):
-            basis = Basis.Z if i % 2 else Basis.X
-            run_type2_slot(2 * i, 0, 1, basis, channel, eve, streams, stats)
+            run_type2_slot(2 * i, 0, 1, bool(i % 2), channel, eve, streams, stats)
         return stats
 
     def test_noiseless_no_eve_error_free(self):
@@ -245,13 +242,22 @@ def test_estimate_disturbance():
         assert (stats.d2_hat, stats.d3_hat) == expected
 
 
-def test_detect_eavesdropper_table():
+def test_detect_eavesdropper_table(monkeypatch):
     assert not detect_eavesdropper(0.01, 0.01, 0.05, 0.05)
     assert detect_eavesdropper(0.01, 0.30, 0.05, 0.05)
     assert detect_eavesdropper(0.06, 0.01, 0.05, 0.05)
     assert not detect_eavesdropper(None, None, 0.05, 0.05)
-    with pytest.raises(ValueError):
-        detect_eavesdropper(0.1, 0.1, 0.7, 0.05)
+    # Thresholds are checked once, when the run starts, before the schedule is drawn.
+    def no_schedule(*args):
+        raise AssertionError("schedule drawn before the thresholds were checked")
+
+    monkeypatch.setattr(protocol, "generate_schedule", no_schedule)
+    for threshold2, threshold3 in ((0.7, 0.05), (0.05, -0.1), (None, 0.6)):
+        with pytest.raises(ValueError, match="threshold"):
+            run_simulation(
+                K=100, h2_per_pair=1, h3_per_pair=1, channel=NO_LOSS, seed=0,
+                threshold2=threshold2, threshold3=threshold3,
+            )
 
 
 def test_run_simulation_clean_network():
@@ -260,7 +266,7 @@ def test_run_simulation_clean_network():
         attack=AttackConfig(), seed=21,
     )
     pair = result.pairs[0]
-    assert pair.d2_hat == 0.0 and pair.d3_hat == 0.0
+    assert pair.stats.d2_hat == 0.0 and pair.stats.d3_hat == 0.0
     assert not result.detected
     assert result.inferred_eta == 0.0
     assert result.actual_learned_fraction == 0.0
@@ -273,7 +279,7 @@ def test_run_simulation_detects_path_attack():
     )
     pair = result.pairs[0]
     tol = oracles.binomial_tolerance(0.25, pair.stats.type3_trials)
-    assert pair.d3_hat == pytest.approx(0.25, abs=tol)
+    assert pair.stats.d3_hat == pytest.approx(0.25, abs=tol)
     assert result.detected
     assert result.leaked_fraction_bound >= result.actual_learned_fraction
 
@@ -332,10 +338,8 @@ def test_runners_on_block_draws_match_raw_generators(slot_type):
             if slot_type == 1:
                 results.append(run_type1_slot(2 * i, 0, 1, i % 2, channel, eve, streams))
             elif slot_type == 2:
-                basis = Basis.Z if i % 3 else Basis.X
-                results.append(
-                    run_type2_slot(2 * i, 0, 1, basis, channel, eve, streams, stats)
-                )
+                z = bool(i % 3)
+                results.append(run_type2_slot(2 * i, 0, 1, z, channel, eve, streams, stats))
             else:
                 results.append(run_type3_slot(2 * i, 0, 1, channel, eve, streams, stats))
         runs.append((results, stats, eve.ledger))
@@ -402,7 +406,7 @@ def test_run_simulation_multiple_pairs():
     for pair in result.pairs:
         assert pair.stats.type2_trials == 30
         assert pair.stats.type3_trials == 30
-        assert pair.d2_hat == 0.0 and pair.d3_hat == 0.0
+        assert pair.stats.d2_hat == 0.0 and pair.stats.d3_hat == 0.0
 
 
 @pytest.mark.parametrize("seed", [41, 42])
