@@ -10,7 +10,12 @@ import oracles
 ALL_PREPS = [("Z", 0), ("Z", 1), ("X", 0), ("X", 1)]
 
 
-@pytest.mark.parametrize(("basis", "bit"), ALL_PREPS)
+def basis_id(value):
+    """Name a basis case ``Basis.Z``/``Basis.X``, as when bases were an enum."""
+    return f"Basis.{value}" if isinstance(value, str) else None
+
+
+@pytest.mark.parametrize(("basis", "bit"), ALL_PREPS, ids=basis_id)
 def test_same_basis_noiseless_is_error_free(basis, bit):
     rng = np.random.default_rng(0)
     z = basis == "Z"
@@ -31,8 +36,8 @@ def test_same_basis_flip_probability():
     assert wrong / n == pytest.approx(0.01, abs=oracles.binomial_tolerance(0.01, n, 3))
 
 
-@pytest.mark.parametrize(("basis", "bit"), ALL_PREPS)
-@pytest.mark.parametrize("meas_basis", ["Z", "X"])
+@pytest.mark.parametrize(("basis", "bit"), ALL_PREPS, ids=basis_id)
+@pytest.mark.parametrize("meas_basis", ["Z", "X"], ids=basis_id)
 def test_measurement_error_matches_born_oracle(basis, bit, meas_basis):
     n = 20_000
     rng = np.random.default_rng(hash((basis, bit, meas_basis)) % 2**32)
