@@ -54,6 +54,8 @@ class AttackConfig:
     eta_msg: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, AttackMode):
+            raise ValueError(f"mode must be an AttackMode, got {self.mode!r}")
         for name in ("eta_path", "eta_msg"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -96,6 +96,9 @@ def security_curve(
     steps: int,
 ) -> list[SecurityPoint]:
     """Leak curve over an evenly spaced loss grid (capped g per point)."""
+    for name, value in (("loss_min_db", loss_min_db), ("loss_max_db", loss_max_db)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if loss_min_db > loss_max_db:
         raise ValueError(f"loss_min_db {loss_min_db} exceeds loss_max_db {loss_max_db}")
     if steps < 2:

@@ -21,12 +21,20 @@ d-dimensional space.  Two families of checks:
   disturbance through the overlap identity
   disturbance >= (1 - sqrt(1 - distance^2)) / 2.
 
+Inputs are plain arrays: a probe (the environment's initial state) is a
+unit complex vector of length d, a message-slot attack a 2d x 2d unitary,
+and a path round trip its four d x d unitaries ``(leg_out, leg_back,
+idle_first, idle_second)``, the legs acting on the travelling branch and
+the idles on the retained one over the same two cycles.  Each kernel
+checks its inputs once.
+
 Dimensions stay small (2..16): the identities are dimension-independent,
 so desk-scale instances verify them exactly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,97 +54,42 @@ _BB84_CASES = (
 )
 
 
-def _require_unitary(name: str, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix)
+def _unitary(name: str, matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as a complex array, once it is checked to be square and unitary."""
+    matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {matrix.shape}")
     deviation = np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max()
     if deviation > UNITARITY_TOL:
         raise ValueError(f"{name} is not unitary (max deviation {deviation:.3e})")
+    return matrix
 
 
-@dataclass(frozen=True)
-class ProbeSpace:
-    """Environment Hilbert space and its initial state."""
-
-    dim: int
-    initial_state: np.ndarray
-
-    def __post_init__(self) -> None:
-        state = np.asarray(self.initial_state, dtype=complex)
-        if state.shape != (self.dim,):
-            raise ValueError(f"state must have shape ({self.dim},), got {state.shape}")
-        if abs(np.linalg.norm(state) - 1.0) > NORM_TOL:
-            raise ValueError("initial state must have unit norm")
-        object.__setattr__(self, "initial_state", state)
-
-    @classmethod
-    def ground(cls, dim: int) -> "ProbeSpace":
-        state = np.zeros(dim, dtype=complex)
-        state[0] = 1.0
-        return cls(dim, state)
-
-    @classmethod
-    def random(cls, dim: int, rng: np.random.Generator) -> "ProbeSpace":
-        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return cls(dim, state / np.linalg.norm(state))
+def _probe(probe: np.ndarray, dim: int) -> np.ndarray:
+    """``probe`` as a complex array, once it is checked to be a unit ``dim``-vector."""
+    probe = np.asarray(probe, dtype=complex)
+    if probe.ndim != 1:
+        raise ValueError(f"probe must be a vector, got shape {probe.shape}")
+    if probe.shape[0] != dim:
+        raise ValueError(f"probe length {probe.shape[0]} does not match operator dimension {dim}")
+    if abs(np.linalg.norm(probe) - 1.0) > NORM_TOL:
+        raise ValueError("probe must have unit norm")
+    return probe
 
 
-@dataclass(frozen=True)
-class JointUnitary:
-    """Unitary on qubit (x) environment, stored as the assembled 2d x 2d matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
-            raise ValueError(f"expected a 2d x 2d matrix, got shape {matrix.shape}")
-        _require_unitary("joint unitary", matrix)
-        object.__setattr__(self, "matrix", matrix)
-
-    @classmethod
-    def from_blocks(
-        cls, u00: np.ndarray, u01: np.ndarray, u10: np.ndarray, u11: np.ndarray
-    ) -> "JointUnitary":
-        return cls(np.block([[np.asarray(u00), np.asarray(u01)],
-                             [np.asarray(u10), np.asarray(u11)]]).astype(complex))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    def block(self, a: int, b: int) -> np.ndarray:
-        d = self.dim
-        return self.matrix[a * d : (a + 1) * d, b * d : (b + 1) * d]
+def _message_outputs(U: np.ndarray, probe: np.ndarray) -> list[np.ndarray]:
+    """Joint output of the 2d x 2d attack ``U`` for each message preparation, as 2 x d."""
+    U = _unitary("message attack", U)
+    if U.shape[0] % 2:
+        raise ValueError(f"message attack must be 2d x 2d, got shape {U.shape}")
+    probe = _probe(probe, U.shape[0] // 2)
+    return [(U @ np.kron(qubit_in, probe)).reshape(2, -1) for qubit_in, _ in _BB84_CASES]
 
 
-@dataclass(frozen=True)
-class LinkUnitaryPair:
-    """Environment operators for one path-packet round trip.
-
-    ``leg_out`` and ``leg_back`` act while the travelling branch is in the
-    channel (forward and return cycle); ``idle_first`` and ``idle_second``
-    are the environment's evolution during the same two cycles as seen by
-    the retained branch, necessarily independent of which node kept it.
-    """
-
-    leg_out: np.ndarray
-    leg_back: np.ndarray
-    idle_first: np.ndarray
-    idle_second: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("leg_out", "leg_back", "idle_first", "idle_second"):
-            matrix = np.asarray(getattr(self, name), dtype=complex)
-            _require_unitary(name, matrix)
-            object.__setattr__(self, name, matrix)
-
-    def travelling_product(self) -> np.ndarray:
-        return self.leg_back @ self.leg_out
-
-    def retained_product(self) -> np.ndarray:
-        return self.idle_second @ self.idle_first
+def random_probe(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit vector from a normalised complex Gaussian draw."""
+    state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return state / np.linalg.norm(state)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -151,67 +104,62 @@ def _haar_unitaries(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., np.newaxis, :]
 
 
-def build_constrained_unitary(W: np.ndarray) -> JointUnitary:
+def build_constrained_unitary(W: np.ndarray) -> np.ndarray:
     """The only message-slot attack surviving both basis constraints: qubit untouched."""
-    W = np.asarray(W, dtype=complex)
-    _require_unitary("W", W)
+    W = _unitary("W", W)
     zero = np.zeros_like(W)
-    return JointUnitary.from_blocks(W, zero, zero, W)
+    return np.block([[W, zero], [zero, W]])
 
 
-def constrained_link_pair(dim: int, rng: np.random.Generator) -> LinkUnitaryPair:
-    """Random round-trip operators satisfying the zero-disturbance condition."""
+def constrained_link_pair(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Random round trip ``(leg_out, leg_back, idle_first, idle_second)`` satisfying
+    the zero-disturbance condition ``leg_back @ leg_out == idle_second @ idle_first``."""
     idle_first = random_unitary(dim, rng)
     idle_second = random_unitary(dim, rng)
     leg_out = random_unitary(dim, rng)
     leg_back = idle_second @ idle_first @ leg_out.conj().T
-    return LinkUnitaryPair(leg_out, leg_back, idle_first, idle_second)
+    return leg_out, leg_back, idle_first, idle_second
 
 
-def type2_disturbance_of(U: JointUnitary, probe: ProbeSpace) -> float:
+def type2_disturbance_of(U: np.ndarray, probe: np.ndarray) -> float:
     """Average same-basis error probability over the four message preparations."""
-    _check_probe(U.dim, probe)
     total = 0.0
-    for qubit_in, wrong in _BB84_CASES:
-        joint = np.kron(qubit_in, probe.initial_state)
-        out = (U.matrix @ joint).reshape(2, probe.dim)
+    for out, (_, wrong) in zip(_message_outputs(U, probe), _BB84_CASES):
         wrong_amp = wrong.conj() @ out
         total += float(np.vdot(wrong_amp, wrong_amp).real)
     return total / 4.0
 
 
-def type2_leakage_of(U: JointUnitary, probe: ProbeSpace) -> float:
+def type2_leakage_of(U: np.ndarray, probe: np.ndarray) -> float:
     """Largest trace distance between probe states across same-basis input pairs."""
-    _check_probe(U.dim, probe)
-    marginals = []
-    for qubit_in, _ in _BB84_CASES:
-        joint = np.kron(qubit_in, probe.initial_state)
-        out = (U.matrix @ joint).reshape(2, probe.dim)
-        marginals.append(out.T @ out.conj())
+    marginals = [out.T @ out.conj() for out in _message_outputs(U, probe)]
     return max(
         trace_distance(marginals[0], marginals[1]),
         trace_distance(marginals[2], marginals[3]),
     )
 
 
-def type3_disturbance_of(pair: LinkUnitaryPair, probe: ProbeSpace) -> float:
-    """Wrong-port probability of the interference readout after a round trip."""
-    retained, travelling = _branch_states(pair, probe)
-    overlap = np.vdot(retained, travelling)
-    return float((1.0 - overlap.real) / 2.0)
+def round_trip_figures(trip: Sequence[np.ndarray], probe: np.ndarray) -> tuple[float, float]:
+    """Disturbance and indistinguishability of one path round trip.
 
-
-def traffic_indistinguishability(pair: LinkUnitaryPair, probe: ProbeSpace) -> float:
-    """Trace distance between the environment after a transmission and after silence.
-
-    For unit vectors this equals sqrt(1 - |overlap|^2); computing it as the
-    norm of the component of one state orthogonal to the other is the same
-    number but stays accurate near zero distance.
+    ``trip`` is ``(leg_out, leg_back, idle_first, idle_second)``.  The
+    disturbance is the wrong-port probability of the interference readout;
+    the indistinguishability is the trace distance between the environment
+    after a transmission and after silence.  For unit vectors that distance
+    equals sqrt(1 - |overlap|^2); computing it as the norm of the component
+    of one state orthogonal to the other is the same number but stays
+    accurate near zero distance.
     """
-    retained, travelling = _branch_states(pair, probe)
+    leg_out, leg_back, idle_first, idle_second = (
+        _unitary(name, matrix)
+        for name, matrix in zip(("leg_out", "leg_back", "idle_first", "idle_second"), trip)
+    )
+    probe = _probe(probe, leg_out.shape[0])
+    retained = (idle_second @ idle_first) @ probe
+    travelling = (leg_back @ leg_out) @ probe
     overlap = np.vdot(retained, travelling)
     orthogonal = travelling - overlap * retained
-    return float(min(1.0, np.linalg.norm(orthogonal)))
+    return float((1.0 - overlap.real) / 2.0), float(min(1.0, np.linalg.norm(orthogonal)))
 
 
 def tradeoff_scatter(
@@ -230,13 +178,9 @@ def tradeoff_scatter(
         normals = rng.normal(size=(min(_SCATTER_CHUNK, samples - done), 8 * d * d + 2 * d))
         parts = normals[:, : 8 * d * d].reshape(-1, 4, 2, d, d)
         unitaries = _haar_unitaries(parts[:, :, 0], parts[:, :, 1])
-        for four, probe_normals in zip(unitaries, normals[:, 8 * d * d :]):
-            pair = LinkUnitaryPair(*four)
+        for trip, probe_normals in zip(unitaries, normals[:, 8 * d * d :]):
             state = probe_normals[:d] + 1j * probe_normals[d:]
-            probe = ProbeSpace(d, state / np.linalg.norm(state))
-            points.append(
-                (type3_disturbance_of(pair, probe), traffic_indistinguishability(pair, probe))
-            )
+            points.append(round_trip_figures(trip, state / np.linalg.norm(state)))
     return points
 
 
@@ -250,25 +194,24 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 class CheckResult:
     name: str
     passed: bool
-    detail: str
 
 
-def controlled_flip_unitary(probe_dim: int = 2) -> JointUnitary:
+def controlled_flip_unitary(probe_dim: int = 2) -> np.ndarray:
     """Negative control: the qubit flips one probe level pair when it is |1>."""
     flip = np.eye(probe_dim, dtype=complex)
     flip[[0, 1]] = flip[[1, 0]]
     eye = np.eye(probe_dim, dtype=complex)
     zero = np.zeros((probe_dim, probe_dim), dtype=complex)
-    return JointUnitary.from_blocks(eye, zero, zero, flip)
+    return np.block([[eye, zero], [zero, flip]])
 
 
-def swap_unitary() -> JointUnitary:
+def swap_unitary() -> np.ndarray:
     """Negative control: full swap of the qubit with a two-level probe."""
     swap = np.zeros((4, 4), dtype=complex)
     for a in range(2):
         for b in range(2):
             swap[a * 2 + b, b * 2 + a] = 1.0
-    return JointUnitary(swap)
+    return swap
 
 
 def run_verification(
@@ -285,18 +228,18 @@ def run_verification(
         raise ValueError(f"dim must be at least 2, got {dim}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if scatter_samples < 1:
+        raise ValueError(f"scatter_samples must be at least 1, got {scatter_samples}")
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
 
     def record(name: str, worst: float, tolerance: float) -> None:
-        checks.append(
-            CheckResult(name, worst <= tolerance, f"worst {worst:.3e} vs tol {tolerance:.1e}")
-        )
+        checks.append(CheckResult(name, worst <= tolerance))
 
     worst_d = worst_l = 0.0
     for _ in range(samples):
         U = build_constrained_unitary(random_unitary(dim, rng))
-        probe = ProbeSpace.random(dim, rng)
+        probe = random_probe(dim, rng)
         worst_d = max(worst_d, type2_disturbance_of(U, probe))
         worst_l = max(worst_l, type2_leakage_of(U, probe))
     record("constrained_message_zero_disturbance", worst_d, 1e-10)
@@ -305,37 +248,30 @@ def run_verification(
     worst_d = worst_i = 0.0
     for _ in range(samples):
         if enforce_return_constraint:
-            pair = constrained_link_pair(dim, rng)
+            trip = constrained_link_pair(dim, rng)
         else:
-            pair = LinkUnitaryPair(
-                random_unitary(dim, rng),
-                random_unitary(dim, rng),
-                random_unitary(dim, rng),
-                random_unitary(dim, rng),
-            )
-        probe = ProbeSpace.random(dim, rng)
-        worst_d = max(worst_d, type3_disturbance_of(pair, probe))
-        worst_i = max(worst_i, traffic_indistinguishability(pair, probe))
+            trip = [random_unitary(dim, rng) for _ in range(4)]
+        disturbance, distance = round_trip_figures(trip, random_probe(dim, rng))
+        worst_d = max(worst_d, disturbance)
+        worst_i = max(worst_i, distance)
     record("constrained_link_zero_disturbance", worst_d, 1e-10)
     record("constrained_link_zero_indistinguishability", worst_i, 1e-10)
 
-    probe2 = ProbeSpace.ground(2)
-    eye_pair = LinkUnitaryPair(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+    ground2 = np.eye(2)[0]
     identity_worst = max(
-        type2_disturbance_of(build_constrained_unitary(np.eye(dim)), ProbeSpace.ground(dim)),
-        type3_disturbance_of(eye_pair, probe2),
-        traffic_indistinguishability(eye_pair, probe2),
+        type2_disturbance_of(build_constrained_unitary(np.eye(dim)), np.eye(dim)[0]),
+        *round_trip_figures([np.eye(2)] * 4, ground2),
     )
     record("identity_attack_zeros", identity_worst, 1e-12)
 
     record(
         "controlled_flip_disturbance_quarter",
-        abs(type2_disturbance_of(controlled_flip_unitary(), probe2) - 0.25),
+        abs(type2_disturbance_of(controlled_flip_unitary(), ground2) - 0.25),
         1e-12,
     )
     record(
         "swap_disturbance_half",
-        abs(type2_disturbance_of(swap_unitary(), probe2) - 0.5),
+        abs(type2_disturbance_of(swap_unitary(), ground2) - 0.5),
         1e-12,
     )
 
@@ -360,19 +296,3 @@ def run_verification(
 def disturbance_floor(distance: float) -> float:
     """Minimum round-trip disturbance compatible with a given distinguishability."""
     return (1.0 - np.sqrt(max(0.0, 1.0 - distance**2))) / 2.0
-
-
-def _branch_states(pair: LinkUnitaryPair, probe: ProbeSpace) -> tuple[np.ndarray, np.ndarray]:
-    if pair.leg_out.shape[0] != probe.dim:
-        raise ValueError(
-            f"probe dimension {probe.dim} does not match operators of dimension "
-            f"{pair.leg_out.shape[0]}"
-        )
-    retained = pair.retained_product() @ probe.initial_state
-    travelling = pair.travelling_product() @ probe.initial_state
-    return retained, travelling
-
-
-def _check_probe(dim: int, probe: ProbeSpace) -> None:
-    if probe.dim != dim:
-        raise ValueError(f"probe dimension {probe.dim} does not match unitary dimension {dim}")

@@ -127,15 +127,9 @@ def scalar_tradeoff_scatter(samples: int, d: int, seed: int) -> list[tuple[float
 
     Per sample: four unitaries, each the QR of (real + i imag)/sqrt(2) with
     R's diagonal phases moved into Q, then a normalised complex Gaussian
-    probe; scored by the library's per-sample disturbance and
-    indistinguishability kernels.
+    probe; scored by the library's per-sample round-trip kernel.
     """
-    from decoyroute.constraints import (
-        LinkUnitaryPair,
-        ProbeSpace,
-        traffic_indistinguishability,
-        type3_disturbance_of,
-    )
+    from decoyroute.constraints import round_trip_figures
 
     def unitary(rng: np.random.Generator) -> np.ndarray:
         z = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2.0)
@@ -146,12 +140,9 @@ def scalar_tradeoff_scatter(samples: int, d: int, seed: int) -> list[tuple[float
     rng = np.random.default_rng(seed)
     points = []
     for _ in range(samples):
-        pair = LinkUnitaryPair(unitary(rng), unitary(rng), unitary(rng), unitary(rng))
+        trip = (unitary(rng), unitary(rng), unitary(rng), unitary(rng))
         state = rng.normal(size=d) + 1j * rng.normal(size=d)
-        probe = ProbeSpace(d, state / np.linalg.norm(state))
-        points.append(
-            (type3_disturbance_of(pair, probe), traffic_indistinguishability(pair, probe))
-        )
+        points.append(round_trip_figures(trip, state / np.linalg.norm(state)))
     return points
 
 

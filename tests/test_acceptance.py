@@ -24,18 +24,17 @@ from decoyroute import (
 )
 from decoyroute.cli import main as cli_main
 from decoyroute.constraints import (
-    ProbeSpace,
     build_constrained_unitary,
     constrained_link_pair,
     controlled_flip_unitary,
     disturbance_floor,
+    random_probe,
     random_unitary,
+    round_trip_figures,
     swap_unitary,
     tradeoff_scatter,
-    traffic_indistinguishability,
     type2_disturbance_of,
     type2_leakage_of,
-    type3_disturbance_of,
 )
 from decoyroute.overhead import (
     bound_escape_prob,
@@ -215,18 +214,18 @@ def test_criterion_7_constraint_verification():
     for dim in (2, 4, 8):
         rng = np.random.default_rng(5000 + dim)
         for _ in range(100):
-            probe = ProbeSpace.random(dim, rng)
+            probe = random_probe(dim, rng)
             U = build_constrained_unitary(random_unitary(dim, rng))
             assert type2_disturbance_of(U, probe) < 1e-10
             assert type2_leakage_of(U, probe) < 1e-10
-            pair = constrained_link_pair(dim, rng)
-            assert type3_disturbance_of(pair, probe) < 1e-10
-            assert traffic_indistinguishability(pair, probe) < 1e-10
+            disturbance, distance = round_trip_figures(constrained_link_pair(dim, rng), probe)
+            assert disturbance < 1e-10
+            assert distance < 1e-10
 
     for disturbance, distance in tradeoff_scatter(1000, 4, seed=51):
         assert disturbance >= disturbance_floor(distance) - 1e-9
 
-    probe2 = ProbeSpace.ground(2)
+    probe2 = np.eye(2)[0]
     assert type2_disturbance_of(controlled_flip_unitary(), probe2) == pytest.approx(
         0.25, abs=1e-12
     )

@@ -107,6 +107,12 @@ def test_attack_config_rates():
         AttackConfig(eta_path=1.2)
 
 
+def test_attack_config_rejects_a_string_mode():
+    # A bare string would match no AttackMode member and silently disable the attack.
+    with pytest.raises(ValueError, match="mode"):
+        AttackConfig(mode="path", eta_path=1.0)
+
+
 def test_ledger_records_endpoints_and_bits():
     eve = Eavesdropper(AttackConfig(mode=AttackMode.BOTH, eta_path=1.0, eta_msg=1.0))
     run_type1_slot(4, 0, 1, 1, ChannelModel(), eve, Streams.from_seed(0))

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from scipy import stats
 
@@ -103,6 +105,16 @@ def test_curve_validates_grid():
         security_curve(0.01, 0.01, 2.0, 1.0, 10)
     with pytest.raises(ValueError):
         security_curve(0.01, 0.01, 0.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("bound", [float("inf"), float("-inf"), float("nan")])
+def test_curve_rejects_non_finite_loss_bounds(bound):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^loss_max_db must be finite"):
+            security_curve(0.01, 0.01, 0.0, bound, 5)
+        with pytest.raises(ValueError, match="^loss_min_db must be finite"):
+            security_curve(0.01, 0.01, bound, 3.0, 5)
 
 
 def test_loss_threshold_matches_quoted_value():

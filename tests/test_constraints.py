@@ -2,44 +2,44 @@ import numpy as np
 import pytest
 
 from decoyroute.constraints import (
-    JointUnitary,
-    LinkUnitaryPair,
-    ProbeSpace,
     build_constrained_unitary,
     constrained_link_pair,
     controlled_flip_unitary,
     disturbance_floor,
+    random_probe,
     random_unitary,
+    round_trip_figures,
     run_verification,
     swap_unitary,
     trace_distance,
     tradeoff_scatter,
-    traffic_indistinguishability,
     type2_disturbance_of,
     type2_leakage_of,
-    type3_disturbance_of,
 )
 
 import oracles
 
 
-def identity_pair(dim: int) -> LinkUnitaryPair:
-    eye = np.eye(dim)
-    return LinkUnitaryPair(eye, eye, eye, eye)
+def identity_trip(dim: int) -> list[np.ndarray]:
+    return [np.eye(dim)] * 4
+
+
+def ground(dim: int) -> np.ndarray:
+    return np.eye(dim)[0]
 
 
 def test_identity_attack_is_invisible():
-    probe = ProbeSpace.ground(4)
+    probe = ground(4)
     U = build_constrained_unitary(np.eye(4))
     assert type2_disturbance_of(U, probe) == pytest.approx(0.0, abs=1e-14)
     assert type2_leakage_of(U, probe) == pytest.approx(0.0, abs=1e-14)
-    pair = identity_pair(4)
-    assert type3_disturbance_of(pair, probe) == pytest.approx(0.0, abs=1e-14)
-    assert traffic_indistinguishability(pair, probe) == pytest.approx(0.0, abs=1e-14)
+    disturbance, distance = round_trip_figures(identity_trip(4), probe)
+    assert disturbance == pytest.approx(0.0, abs=1e-14)
+    assert distance == pytest.approx(0.0, abs=1e-14)
 
 
 def test_controlled_flip_negative_control():
-    probe = ProbeSpace.ground(2)
+    probe = ground(2)
     U = controlled_flip_unitary()
     assert type2_disturbance_of(U, probe) == pytest.approx(0.25, abs=1e-12)
     # The computational-basis pair imprints orthogonal probe states.
@@ -47,36 +47,49 @@ def test_controlled_flip_negative_control():
 
 
 def test_swap_negative_control():
-    probe = ProbeSpace.ground(2)
+    probe = ground(2)
     assert type2_disturbance_of(swap_unitary(), probe) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_probe_space_validation():
-    with pytest.raises(ValueError, match="unit norm"):
-        ProbeSpace(2, np.array([1.0, 1.0]))
-    with pytest.raises(ValueError, match="shape"):
-        ProbeSpace(3, np.array([1.0, 0.0]))
+    U = build_constrained_unitary(np.eye(2))
+    for kernel, attack in ((type2_disturbance_of, U), (type2_leakage_of, U),
+                           (round_trip_figures, identity_trip(2))):
+        with pytest.raises(ValueError, match="unit norm"):
+            kernel(attack, np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="shape"):
+            kernel(attack, np.eye(2))
 
 
 def test_joint_unitary_validation():
-    with pytest.raises(ValueError, match="not unitary"):
-        JointUnitary(np.ones((4, 4), dtype=complex))
+    probe = ground(2)
+    for kernel in (type2_disturbance_of, type2_leakage_of):
+        with pytest.raises(ValueError, match="not unitary"):
+            kernel(np.ones((4, 4), dtype=complex), probe)
+        with pytest.raises(ValueError, match="square"):
+            kernel(np.eye(4)[:, :2], probe)
+        with pytest.raises(ValueError, match="2d x 2d"):
+            kernel(np.eye(3), probe)
     with pytest.raises(ValueError, match="not unitary"):
         build_constrained_unitary(np.ones((2, 2)))
 
 
 def test_link_pair_validation():
     eye = np.eye(2)
-    with pytest.raises(ValueError, match="not unitary"):
-        LinkUnitaryPair(eye, eye, eye, 2 * eye)
+    with pytest.raises(ValueError, match="idle_second is not unitary"):
+        round_trip_figures([eye, eye, eye, 2 * eye], ground(2))
+    with pytest.raises(ValueError, match="leg_out must be a square"):
+        round_trip_figures([eye[:1], eye, eye, eye], ground(2))
 
 
 def test_dimension_mismatch_rejected():
     U = build_constrained_unitary(np.eye(2))
     with pytest.raises(ValueError, match="dimension"):
-        type2_disturbance_of(U, ProbeSpace.ground(3))
+        type2_disturbance_of(U, ground(3))
     with pytest.raises(ValueError, match="dimension"):
-        type3_disturbance_of(identity_pair(2), ProbeSpace.ground(3))
+        type2_leakage_of(U, ground(3))
+    with pytest.raises(ValueError, match="dimension"):
+        round_trip_figures(identity_trip(2), ground(3))
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -84,7 +97,7 @@ def test_constrained_message_unitaries_are_silent(dim):
     rng = np.random.default_rng(dim)
     for _ in range(30):
         U = build_constrained_unitary(random_unitary(dim, rng))
-        probe = ProbeSpace.random(dim, rng)
+        probe = random_probe(dim, rng)
         assert type2_disturbance_of(U, probe) <= 1e-10
         assert type2_leakage_of(U, probe) <= 1e-10
 
@@ -93,7 +106,7 @@ def test_diagonal_phase_rotations_are_silent():
     rng = np.random.default_rng(17)
     phases = np.exp(2j * np.pi * rng.random(4))
     U = build_constrained_unitary(np.diag(phases))
-    probe = ProbeSpace.random(4, rng)
+    probe = random_probe(4, rng)
     assert type2_disturbance_of(U, probe) <= 1e-12
     assert type2_leakage_of(U, probe) <= 1e-12
 
@@ -102,10 +115,11 @@ def test_diagonal_phase_rotations_are_silent():
 def test_constrained_link_pairs_are_silent(dim):
     rng = np.random.default_rng(100 + dim)
     for _ in range(30):
-        pair = constrained_link_pair(dim, rng)
-        probe = ProbeSpace.random(dim, rng)
-        assert type3_disturbance_of(pair, probe) <= 1e-10
-        assert traffic_indistinguishability(pair, probe) <= 1e-10
+        disturbance, distance = round_trip_figures(
+            constrained_link_pair(dim, rng), random_probe(dim, rng)
+        )
+        assert disturbance <= 1e-10
+        assert distance <= 1e-10
 
 
 def test_which_path_marking_attack():
@@ -113,10 +127,9 @@ def test_which_path_marking_attack():
     # the path completely: coin-flip readout, fully distinguishable.
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     eye = np.eye(2)
-    pair = LinkUnitaryPair(flip, eye, eye, eye)
-    probe = ProbeSpace.ground(2)
-    assert type3_disturbance_of(pair, probe) == pytest.approx(0.5, abs=1e-12)
-    assert traffic_indistinguishability(pair, probe) == pytest.approx(1.0, abs=1e-12)
+    disturbance, distance = round_trip_figures([flip, eye, eye, eye], ground(2))
+    assert disturbance == pytest.approx(0.5, abs=1e-12)
+    assert distance == pytest.approx(1.0, abs=1e-12)
 
 
 def test_no_leak_without_disturbance_inequality():
@@ -166,3 +179,9 @@ def test_random_unitary_is_unitary():
     for dim in (2, 5, 9):
         U = random_unitary(dim, rng)
         assert np.abs(U.conj().T @ U - np.eye(dim)).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["dim", "samples", "scatter_samples"])
+def test_run_verification_names_the_bad_argument(name):
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        run_verification(**{name: 0})
