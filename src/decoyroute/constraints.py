@@ -26,7 +26,8 @@ unit complex vector of length d, a message-slot attack a 2d x 2d unitary,
 and a path round trip its four d x d unitaries ``(leg_out, leg_back,
 idle_first, idle_second)``, the legs acting on the travelling branch and
 the idles on the retained one over the same two cycles.  Each kernel
-checks its inputs once.
+checks its inputs once; ``tradeoff_scatter`` checks each chunk of its
+Haar samples in one stacked test.
 
 Dimensions stay small (2..16): the identities are dimension-independent,
 so desk-scale instances verify them exactly.
@@ -54,12 +55,13 @@ _BB84_CASES = (
 )
 
 
-def _unitary(name: str, matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` as a complex array, once it is checked to be square and unitary."""
+def _unitary(name: str, matrix: np.ndarray, ndim: int = 2) -> np.ndarray:
+    """``matrix`` (a stack if ``ndim`` > 2) as a complex array, checked square and unitary."""
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim != ndim or matrix.shape[-2] != matrix.shape[-1]:
         raise ValueError(f"{name} must be a square matrix, got shape {matrix.shape}")
-    deviation = np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max()
+    adjoint = np.swapaxes(matrix.conj(), -1, -2)
+    deviation = np.abs(adjoint @ matrix - np.eye(matrix.shape[-1])).max()
     if deviation > UNITARITY_TOL:
         raise ValueError(f"{name} is not unitary (max deviation {deviation:.3e})")
     return matrix
@@ -75,15 +77,6 @@ def _probe(probe: np.ndarray, dim: int) -> np.ndarray:
     if abs(np.linalg.norm(probe) - 1.0) > NORM_TOL:
         raise ValueError("probe must have unit norm")
     return probe
-
-
-def _message_outputs(U: np.ndarray, probe: np.ndarray) -> list[np.ndarray]:
-    """Joint output of the 2d x 2d attack ``U`` for each message preparation, as 2 x d."""
-    U = _unitary("message attack", U)
-    if U.shape[0] % 2:
-        raise ValueError(f"message attack must be 2d x 2d, got shape {U.shape}")
-    probe = _probe(probe, U.shape[0] // 2)
-    return [(U @ np.kron(qubit_in, probe)).reshape(2, -1) for qubit_in, _ in _BB84_CASES]
 
 
 def random_probe(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,22 +114,26 @@ def constrained_link_pair(dim: int, rng: np.random.Generator) -> tuple[np.ndarra
     return leg_out, leg_back, idle_first, idle_second
 
 
-def type2_disturbance_of(U: np.ndarray, probe: np.ndarray) -> float:
-    """Average same-basis error probability over the four message preparations."""
-    total = 0.0
-    for out, (_, wrong) in zip(_message_outputs(U, probe), _BB84_CASES):
+def message_figures(U: np.ndarray, probe: np.ndarray) -> tuple[float, float]:
+    """Disturbance and leakage of one message-slot attack.
+
+    The disturbance is the same-basis error probability averaged over the
+    four message preparations; the leakage is the largest trace distance
+    between the probe states left by a same-basis input pair.
+    """
+    U = _unitary("message attack", U)
+    if U.shape[0] % 2:
+        raise ValueError(f"message attack must be 2d x 2d, got shape {U.shape}")
+    probe = _probe(probe, U.shape[0] // 2)
+    disturbance = 0.0
+    marginals = []
+    for qubit_in, wrong in _BB84_CASES:
+        out = (U @ np.kron(qubit_in, probe)).reshape(2, -1)
         wrong_amp = wrong.conj() @ out
-        total += float(np.vdot(wrong_amp, wrong_amp).real)
-    return total / 4.0
-
-
-def type2_leakage_of(U: np.ndarray, probe: np.ndarray) -> float:
-    """Largest trace distance between probe states across same-basis input pairs."""
-    marginals = [out.T @ out.conj() for out in _message_outputs(U, probe)]
-    return max(
-        trace_distance(marginals[0], marginals[1]),
-        trace_distance(marginals[2], marginals[3]),
-    )
+        disturbance += float(np.vdot(wrong_amp, wrong_amp).real)
+        marginals.append(out.T @ out.conj())
+    leakage = max(trace_distance(*marginals[:2]), trace_distance(*marginals[2:]))
+    return disturbance / 4.0, leakage
 
 
 def round_trip_figures(trip: Sequence[np.ndarray], probe: np.ndarray) -> tuple[float, float]:
@@ -150,11 +147,13 @@ def round_trip_figures(trip: Sequence[np.ndarray], probe: np.ndarray) -> tuple[f
     of one state orthogonal to the other is the same number but stays
     accurate near zero distance.
     """
-    leg_out, leg_back, idle_first, idle_second = (
-        _unitary(name, matrix)
-        for name, matrix in zip(("leg_out", "leg_back", "idle_first", "idle_second"), trip)
-    )
-    probe = _probe(probe, leg_out.shape[0])
+    names = ("leg_out", "leg_back", "idle_first", "idle_second")
+    trip = [_unitary(name, matrix) for name, matrix in zip(names, trip)]
+    return _round_trip(*trip, _probe(probe, trip[0].shape[0]))
+
+
+def _round_trip(leg_out, leg_back, idle_first, idle_second, probe) -> tuple[float, float]:
+    """``round_trip_figures`` on inputs already checked."""
     retained = (idle_second @ idle_first) @ probe
     travelling = (leg_back @ leg_out) @ probe
     overlap = np.vdot(retained, travelling)
@@ -167,7 +166,7 @@ def tradeoff_scatter(
 ) -> list[tuple[float, float]]:
     """Disturbance/indistinguishability pairs for random unconstrained attacks.
 
-    Per sample: four unitaries, then a probe; each chunk is one draw and one stacked QR."""
+    Per sample: four unitaries, then a probe; each chunk is one draw, QR and unitarity check."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if d < 2:
@@ -177,10 +176,10 @@ def tradeoff_scatter(
     for done in range(0, samples, _SCATTER_CHUNK):
         normals = rng.normal(size=(min(_SCATTER_CHUNK, samples - done), 8 * d * d + 2 * d))
         parts = normals[:, : 8 * d * d].reshape(-1, 4, 2, d, d)
-        unitaries = _haar_unitaries(parts[:, :, 0], parts[:, :, 1])
+        unitaries = _unitary("Haar sample", _haar_unitaries(parts[:, :, 0], parts[:, :, 1]), 4)
         for trip, probe_normals in zip(unitaries, normals[:, 8 * d * d :]):
             state = probe_normals[:d] + 1j * probe_normals[d:]
-            points.append(round_trip_figures(trip, state / np.linalg.norm(state)))
+            points.append(_round_trip(*trip, state / np.linalg.norm(state)))
     return points
 
 
@@ -207,11 +206,7 @@ def controlled_flip_unitary(probe_dim: int = 2) -> np.ndarray:
 
 def swap_unitary() -> np.ndarray:
     """Negative control: full swap of the qubit with a two-level probe."""
-    swap = np.zeros((4, 4), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            swap[a * 2 + b, b * 2 + a] = 1.0
-    return swap
+    return np.eye(4, dtype=complex)[[0, 2, 1, 3]]  # |a b> -> |b a>
 
 
 def run_verification(
@@ -240,8 +235,9 @@ def run_verification(
     for _ in range(samples):
         U = build_constrained_unitary(random_unitary(dim, rng))
         probe = random_probe(dim, rng)
-        worst_d = max(worst_d, type2_disturbance_of(U, probe))
-        worst_l = max(worst_l, type2_leakage_of(U, probe))
+        disturbance, leakage = message_figures(U, probe)
+        worst_d = max(worst_d, disturbance)
+        worst_l = max(worst_l, leakage)
     record("constrained_message_zero_disturbance", worst_d, 1e-10)
     record("constrained_message_zero_leakage", worst_l, 1e-10)
 
@@ -259,19 +255,19 @@ def run_verification(
 
     ground2 = np.eye(2)[0]
     identity_worst = max(
-        type2_disturbance_of(build_constrained_unitary(np.eye(dim)), np.eye(dim)[0]),
+        message_figures(build_constrained_unitary(np.eye(dim)), np.eye(dim)[0])[0],
         *round_trip_figures([np.eye(2)] * 4, ground2),
     )
     record("identity_attack_zeros", identity_worst, 1e-12)
 
     record(
         "controlled_flip_disturbance_quarter",
-        abs(type2_disturbance_of(controlled_flip_unitary(), ground2) - 0.25),
+        abs(message_figures(controlled_flip_unitary(), ground2)[0] - 0.25),
         1e-12,
     )
     record(
         "swap_disturbance_half",
-        abs(type2_disturbance_of(swap_unitary(), ground2) - 0.5),
+        abs(message_figures(swap_unitary(), ground2)[0] - 0.5),
         1e-12,
     )
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _LOG_HALF = math.log(0.5)
-_MC_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # Monte-Carlo trials, or log-factorial entries, per step
 # numpy's bound on each population of a hypergeometric draw.
 MC_POPULATION_LIMIT = 10**9
 
@@ -30,15 +30,20 @@ _log_fact_table = np.zeros(1)
 
 
 def _log_factorials(n: int) -> np.ndarray:
-    """Cached table of log(k!) for k = 0..n."""
+    """Cached table of log(k!) for k = 0..n, grown chunk by chunk with no n-sized temporary.
+
+    Entry k is the float sum log 1 + ... + log k in order, whatever was built before."""
     global _log_fact_table
-    if len(_log_fact_table) <= n:
-        old = len(_log_fact_table)
+    old = len(_log_fact_table)
+    if old <= n:
         grown = np.empty(n + 1)
         grown[:old] = _log_fact_table
-        grown[old:] = np.log(np.arange(old, n + 1))
-        np.cumsum(grown[old:], out=grown[old:])
-        grown[old:] += _log_fact_table[old - 1]
+        for start in range(old, n + 1, _CHUNK):
+            chunk = grown[start : start + _CHUNK]
+            chunk[:] = np.arange(start, start + len(chunk))
+            np.log(chunk, out=chunk)
+            chunk[0] += grown[start - 1]
+            np.cumsum(chunk, out=chunk)
         _log_fact_table = grown
     return _log_fact_table
 
@@ -157,7 +162,6 @@ class OverheadReport:
     eta_max: float
     alpha: int
     beta: int
-    beta_bb84: int
     g1: int
     g0_component_sum: int
     g0_affine: int
@@ -174,7 +178,6 @@ def required_overhead(K: int, epsilon: float, eta_max: float) -> OverheadReport:
         eta_max=eta_max,
         alpha=alpha,
         beta=beta,
-        beta_bb84=beta_for(epsilon, eta_max, bb84_detection=True),
         g1=alpha + beta,
         g0_component_sum=2 * alpha + 3 * beta,
         g0_affine=alpha + 2 * beta,
@@ -205,8 +208,8 @@ def montecarlo_escape(
 
     rng = np.random.default_rng(seed)
     counts = np.zeros(min(H3, m_intercepted) + 1, dtype=np.int64)
-    for done in range(0, trials, _MC_CHUNK):
-        overlap = rng.hypergeometric(H3, K - H3, m_intercepted, min(_MC_CHUNK, trials - done))
+    for done in range(0, trials, _CHUNK):
+        overlap = rng.hypergeometric(H3, K - H3, m_intercepted, min(_CHUNK, trials - done))
         counts += np.bincount(overlap, minlength=len(counts))
     scores = 0.5 ** np.arange(len(counts))
     estimate = float(counts @ scores / trials)

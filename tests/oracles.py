@@ -94,6 +94,30 @@ def brute_force_escape(K: int, H3: int, m: int) -> float:
     return float(total / count)
 
 
+def exact_escape_fraction(K: int, H3: int, m: int) -> Fraction:
+    """Exact escape probability as a rational, for any K.
+
+    The overlap law is symmetric in H3 and m, so take a = min(H3, m) draws
+    from K slots of which b = max(H3, m) are marked.  The first overlap
+    j_lo = max(0, a + b - K) has probability
+    P(j_lo) = prod_{i < a} (K - b - i)/(K - i) when j_lo = 0, and
+    P(j_lo) = prod_{i < K - b} (a - i)/(K - i) otherwise: at most a
+    factors either way.  Each later term follows from the ratio
+    P(j + 1)/P(j) = (a - j)(b - j) / ((j + 1)(K - a - b + j + 1)).
+    """
+    a, b = sorted((H3, m))
+    j_lo = max(0, a + b - K)
+    if j_lo == 0:
+        term = math.prod((Fraction(K - b - i, K - i) for i in range(a)), start=Fraction(1))
+    else:
+        term = math.prod((Fraction(a - i, K - i) for i in range(K - b)), start=Fraction(1))
+    total = Fraction(0)
+    for j in range(j_lo, a + 1):
+        total += term / 2**j
+        term *= Fraction((a - j) * (b - j), (j + 1) * (K - a - b + j + 1))
+    return total
+
+
 def subset_escape_montecarlo(
     K: int, H3: int, m: int, trials: int, seed: int
 ) -> tuple[float, float]:

@@ -28,13 +28,12 @@ from decoyroute.constraints import (
     constrained_link_pair,
     controlled_flip_unitary,
     disturbance_floor,
+    message_figures,
     random_probe,
     random_unitary,
     round_trip_figures,
     swap_unitary,
     tradeoff_scatter,
-    type2_disturbance_of,
-    type2_leakage_of,
 )
 from decoyroute.overhead import (
     bound_escape_prob,
@@ -216,8 +215,9 @@ def test_criterion_7_constraint_verification():
         for _ in range(100):
             probe = random_probe(dim, rng)
             U = build_constrained_unitary(random_unitary(dim, rng))
-            assert type2_disturbance_of(U, probe) < 1e-10
-            assert type2_leakage_of(U, probe) < 1e-10
+            disturbance, leakage = message_figures(U, probe)
+            assert disturbance < 1e-10
+            assert leakage < 1e-10
             disturbance, distance = round_trip_figures(constrained_link_pair(dim, rng), probe)
             assert disturbance < 1e-10
             assert distance < 1e-10
@@ -226,10 +226,10 @@ def test_criterion_7_constraint_verification():
         assert disturbance >= disturbance_floor(distance) - 1e-9
 
     probe2 = np.eye(2)[0]
-    assert type2_disturbance_of(controlled_flip_unitary(), probe2) == pytest.approx(
+    assert message_figures(controlled_flip_unitary(), probe2)[0] == pytest.approx(
         0.25, abs=1e-12
     )
-    assert type2_disturbance_of(swap_unitary(), probe2) == pytest.approx(0.5, abs=1e-12)
+    assert message_figures(swap_unitary(), probe2)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 @criterion("criterion 8: byte-identical reruns per subcommand", budget_seconds=5.0)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from decoyroute import constraints
 from decoyroute.constraints import (
     build_constrained_unitary,
     constrained_link_pair,
     controlled_flip_unitary,
     disturbance_floor,
+    message_figures,
     random_probe,
     random_unitary,
     round_trip_figures,
@@ -13,8 +15,6 @@ from decoyroute.constraints import (
     swap_unitary,
     trace_distance,
     tradeoff_scatter,
-    type2_disturbance_of,
-    type2_leakage_of,
 )
 
 import oracles
@@ -30,9 +30,9 @@ def ground(dim: int) -> np.ndarray:
 
 def test_identity_attack_is_invisible():
     probe = ground(4)
-    U = build_constrained_unitary(np.eye(4))
-    assert type2_disturbance_of(U, probe) == pytest.approx(0.0, abs=1e-14)
-    assert type2_leakage_of(U, probe) == pytest.approx(0.0, abs=1e-14)
+    disturbance, leakage = message_figures(build_constrained_unitary(np.eye(4)), probe)
+    assert disturbance == pytest.approx(0.0, abs=1e-14)
+    assert leakage == pytest.approx(0.0, abs=1e-14)
     disturbance, distance = round_trip_figures(identity_trip(4), probe)
     assert disturbance == pytest.approx(0.0, abs=1e-14)
     assert distance == pytest.approx(0.0, abs=1e-14)
@@ -40,21 +40,20 @@ def test_identity_attack_is_invisible():
 
 def test_controlled_flip_negative_control():
     probe = ground(2)
-    U = controlled_flip_unitary()
-    assert type2_disturbance_of(U, probe) == pytest.approx(0.25, abs=1e-12)
+    disturbance, leakage = message_figures(controlled_flip_unitary(), probe)
+    assert disturbance == pytest.approx(0.25, abs=1e-12)
     # The computational-basis pair imprints orthogonal probe states.
-    assert type2_leakage_of(U, probe) == pytest.approx(1.0, abs=1e-12)
+    assert leakage == pytest.approx(1.0, abs=1e-12)
 
 
 def test_swap_negative_control():
     probe = ground(2)
-    assert type2_disturbance_of(swap_unitary(), probe) == pytest.approx(0.5, abs=1e-12)
+    assert message_figures(swap_unitary(), probe)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_probe_space_validation():
     U = build_constrained_unitary(np.eye(2))
-    for kernel, attack in ((type2_disturbance_of, U), (type2_leakage_of, U),
-                           (round_trip_figures, identity_trip(2))):
+    for kernel, attack in ((message_figures, U), (round_trip_figures, identity_trip(2))):
         with pytest.raises(ValueError, match="unit norm"):
             kernel(attack, np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="shape"):
@@ -63,13 +62,12 @@ def test_probe_space_validation():
 
 def test_joint_unitary_validation():
     probe = ground(2)
-    for kernel in (type2_disturbance_of, type2_leakage_of):
-        with pytest.raises(ValueError, match="not unitary"):
-            kernel(np.ones((4, 4), dtype=complex), probe)
-        with pytest.raises(ValueError, match="square"):
-            kernel(np.eye(4)[:, :2], probe)
-        with pytest.raises(ValueError, match="2d x 2d"):
-            kernel(np.eye(3), probe)
+    with pytest.raises(ValueError, match="not unitary"):
+        message_figures(np.ones((4, 4), dtype=complex), probe)
+    with pytest.raises(ValueError, match="square"):
+        message_figures(np.eye(4)[:, :2], probe)
+    with pytest.raises(ValueError, match="2d x 2d"):
+        message_figures(np.eye(3), probe)
     with pytest.raises(ValueError, match="not unitary"):
         build_constrained_unitary(np.ones((2, 2)))
 
@@ -85,9 +83,7 @@ def test_link_pair_validation():
 def test_dimension_mismatch_rejected():
     U = build_constrained_unitary(np.eye(2))
     with pytest.raises(ValueError, match="dimension"):
-        type2_disturbance_of(U, ground(3))
-    with pytest.raises(ValueError, match="dimension"):
-        type2_leakage_of(U, ground(3))
+        message_figures(U, ground(3))
     with pytest.raises(ValueError, match="dimension"):
         round_trip_figures(identity_trip(2), ground(3))
 
@@ -97,18 +93,18 @@ def test_constrained_message_unitaries_are_silent(dim):
     rng = np.random.default_rng(dim)
     for _ in range(30):
         U = build_constrained_unitary(random_unitary(dim, rng))
-        probe = random_probe(dim, rng)
-        assert type2_disturbance_of(U, probe) <= 1e-10
-        assert type2_leakage_of(U, probe) <= 1e-10
+        disturbance, leakage = message_figures(U, random_probe(dim, rng))
+        assert disturbance <= 1e-10
+        assert leakage <= 1e-10
 
 
 def test_diagonal_phase_rotations_are_silent():
     rng = np.random.default_rng(17)
     phases = np.exp(2j * np.pi * rng.random(4))
     U = build_constrained_unitary(np.diag(phases))
-    probe = random_probe(4, rng)
-    assert type2_disturbance_of(U, probe) <= 1e-12
-    assert type2_leakage_of(U, probe) <= 1e-12
+    disturbance, leakage = message_figures(U, random_probe(4, rng))
+    assert disturbance <= 1e-12
+    assert leakage <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -139,6 +135,15 @@ def test_no_leak_without_disturbance_inequality():
         assert disturbance >= disturbance_floor(distance) - 1e-9
         assert -1e-9 <= disturbance <= 1.0 + 1e-9
         assert -1e-9 <= distance <= 1.0 + 1e-9
+
+
+def test_scatter_checks_its_haar_samples(monkeypatch):
+    def doubled(real, imag):
+        return 2 * np.broadcast_to(np.eye(real.shape[-1]), real.shape)
+
+    monkeypatch.setattr(constraints, "_haar_unitaries", doubled)
+    with pytest.raises(ValueError, match="Haar sample is not unitary"):
+        tradeoff_scatter(3, 2, seed=0)
 
 
 def test_scatter_is_seeded():

@@ -2,8 +2,12 @@ import math
 import tracemalloc
 from statistics import NormalDist
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from decoyroute import overhead
 from decoyroute.overhead import (
     alpha_for,
     asymptotic_bound,
@@ -57,6 +61,65 @@ def test_exact_escape_matches_brute_force_small():
                     H3,
                     m,
                 )
+
+
+# Relative error of the log-space sum against the exact rational, measured:
+# 7e-13 to 5e-11 up to K = 1e4, 5e-10 to 1.3e-9 at 1e5 and 1e6, 3.3e-8 at 1e7.
+@pytest.mark.parametrize(
+    "K, H3, m, rel",
+    [
+        (1_000, 93, 100, 1e-10),
+        (1_000, 990, 15, 1e-10),  # the overlap starts at j = 5
+        (10_000, 93, 1_000, 1e-10),
+        (10_000, 100, 9_950, 1e-10),  # the overlap starts at j = 50
+        (100_000, 93, 10_000, 1e-7),
+        (100_000, 93, 99_950, 1e-7),
+        (1_000_000, 93, 100_000, 1e-7),
+        (10_000_000, 93, 1_000_000, 1e-7),
+        (10_000_000, 9_999_990, 20, 1e-7),
+    ],
+)
+def test_exact_escape_matches_the_rational_oracle(K, H3, m, rel):
+    expected = float(oracles.exact_escape_fraction(K, H3, m))
+    assert exact_escape_prob(K, H3, m) == pytest.approx(expected, rel=rel, abs=0.0)
+
+
+@st.composite
+def escape_cases(draw):
+    K = draw(st.integers(1, 60))
+    return K, draw(st.integers(0, K)), draw(st.integers(0, K))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(escape_cases())
+def test_exact_escape_property_against_the_rational_oracle(case):
+    expected = float(oracles.exact_escape_fraction(*case))
+    assert exact_escape_prob(*case) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_log_factorial_table_does_not_depend_on_its_history(monkeypatch):
+    # A regrown table once added the old last entry to a fresh cumsum, so the
+    # 9-digit escape cell at K = 1e7 changed after an earlier K = 1e6 call.
+    monkeypatch.setattr(overhead, "_log_fact_table", np.zeros(1))
+    one_shot = overhead._log_factorials(10_000_000)
+    escape = exact_escape_prob(10_000_000, 93, 1_000_000)
+    overhead._log_fact_table = np.zeros(1)
+    for n in (1_000_000, 3_000_001, 10_000_000):
+        grown = overhead._log_factorials(n)
+    assert np.array_equal(grown, one_shot)
+    assert exact_escape_prob(10_000_000, 93, 1_000_000) == escape
+
+
+def test_log_factorial_growth_allocates_only_the_table(monkeypatch):
+    monkeypatch.setattr(overhead, "_log_fact_table", np.zeros(1))
+    n = 2_000_000
+    tracemalloc.start()
+    try:
+        overhead._log_factorials(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (n + 1) + 2**20, peak
 
 
 def test_exact_escape_validates_inputs():
