@@ -27,7 +27,8 @@ and a path round trip its four d x d unitaries ``(leg_out, leg_back,
 idle_first, idle_second)``, the legs acting on the travelling branch and
 the idles on the retained one over the same two cycles.  Each kernel
 checks its inputs once; ``tradeoff_scatter`` checks each chunk of its
-Haar samples in one stacked test.
+Haar samples in one stacked test, and ``run_verification`` checks each
+constrained message attack once, through ``build_constrained_unitary``.
 
 Dimensions stay small (2..16): the identities are dimension-independent,
 so desk-scale instances verify them exactly.
@@ -42,7 +43,7 @@ import numpy as np
 
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-12
-_SCATTER_CHUNK = 1024  # samples per stacked draw and QR
+_SCATTER_CHUNK = 256  # samples per stacked draw and QR
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 # The four message preparations as qubit amplitude pairs, with the state
@@ -124,7 +125,11 @@ def message_figures(U: np.ndarray, probe: np.ndarray) -> tuple[float, float]:
     U = _unitary("message attack", U)
     if U.shape[0] % 2:
         raise ValueError(f"message attack must be 2d x 2d, got shape {U.shape}")
-    probe = _probe(probe, U.shape[0] // 2)
+    return _message(U, _probe(probe, U.shape[0] // 2))
+
+
+def _message(U, probe) -> tuple[float, float]:
+    """``message_figures`` on inputs already checked."""
     disturbance = 0.0
     marginals = []
     for qubit_in, wrong in _BB84_CASES:
@@ -233,9 +238,9 @@ def run_verification(
 
     worst_d = worst_l = 0.0
     for _ in range(samples):
+        # diag(W, W) is unitary exactly when W is, which build_constrained_unitary checks.
         U = build_constrained_unitary(random_unitary(dim, rng))
-        probe = random_probe(dim, rng)
-        disturbance, leakage = message_figures(U, probe)
+        disturbance, leakage = _message(U, random_probe(dim, rng))
         worst_d = max(worst_d, disturbance)
         worst_l = max(worst_l, leakage)
     record("constrained_message_zero_disturbance", worst_d, 1e-10)

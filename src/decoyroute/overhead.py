@@ -8,10 +8,11 @@ components makes the total overhead affine in log2 K with slope H2 + H3.
 An interceptor who measures the propagation mode of m out of K slots trips
 each path decoy she happens to hit with probability 1/2, so her escape
 probability is a hypergeometric average of (1/2)^hits.  This module
-computes that quantity exactly (in log space), via the closed-form upper
-bound ((K - H3)/K + H3 / (2(1 - eta)K))^(eta K), via its large-K limits,
-and by Monte Carlo; and it sizes the decoy counts needed to push the
-escape probability below a target.
+computes that quantity exactly (in log space, as falling factorials of
+length min(H3, m), so in time and memory that do not grow with K), via the
+closed-form upper bound ((K - H3)/K + H3 / (2(1 - eta)K))^(eta K), via its
+large-K limits, and by Monte Carlo; and it sizes the decoy counts needed
+to push the escape probability below a target.
 """
 
 from __future__ import annotations
@@ -73,8 +74,16 @@ def exact_escape_prob(K: int, H3: int, m_intercepted: int) -> float:
 
     The overlap between the interceptor's m-subset and the H3 decoy slots
     is hypergeometric; each overlapping decoy independently escapes with
-    probability 1/2.  Evaluated in log space so binomials of any size stay
-    finite.
+    probability 1/2.  The law is symmetric in H3 and m, so with
+    n = min(H3, m) and big = max(H3, m), and x^(i) the falling factorial,
+
+        P(j) = C(n, j) * big^(j) * (K - big)^(n-j) / K^(n) * 2^-j.
+
+    Writing K^(n) = K^(j) * (K - j)^(n-j) pairs each factor of the two
+    numerators with one of the denominator, so each log term is the log of
+    a ratio in (0, 1] and no two sums of size n log K cancel.  Work and
+    memory are O(n) whatever K is; the relative error against the exact
+    rational is below 1e-13 up to K = 1e12 at n = 93.
     """
     if not 0 <= m_intercepted <= K:
         raise ValueError(f"m_intercepted must be in [0, K], got {m_intercepted}")
@@ -82,16 +91,18 @@ def exact_escape_prob(K: int, H3: int, m_intercepted: int) -> float:
         raise ValueError(f"H3 must be in [0, K], got {H3}")
     if H3 == 0 or m_intercepted == 0:
         return 1.0
-    lf = _log_factorials(K)
-    j_lo = max(0, m_intercepted - (K - H3))
-    j_hi = min(H3, m_intercepted)
-    j = np.arange(j_lo, j_hi + 1)
-    log_terms = (
-        lf[H3] - lf[j] - lf[H3 - j]
-        + lf[K - H3] - lf[m_intercepted - j] - lf[K - H3 - m_intercepted + j]
-        - (lf[K] - lf[m_intercepted] - lf[K - m_intercepted])
-        + j * _LOG_HALF
-    )
+    n, big = min(H3, m_intercepted), max(H3, m_intercepted)
+    j_lo = max(0, n - (K - big))
+    t = np.arange(n, dtype=float)
+    # hits[j] = log(big^(j) / K^(j)); misses[i] = log((K - big)^(i) / (K - n + i)^(i)).
+    hits = np.zeros(n + 1)
+    np.cumsum(np.log1p(-(K - big) / (K - t)), out=hits[1:])
+    t = t[: n - j_lo]
+    misses = np.zeros(n - j_lo + 1)
+    np.cumsum(np.log((K - big - t) / (K - n + 1 + t)), out=misses[1:])
+    lf = _log_factorials(n)
+    j = np.arange(j_lo, n + 1)
+    log_terms = lf[n] - lf[j] - lf[n - j] + hits[j] + misses[n - j] + j * _LOG_HALF
     shift = log_terms.max()
     return float(np.exp(shift) * np.exp(log_terms - shift).sum())
 
@@ -112,10 +123,16 @@ def bound_escape_prob(K: int, H3: int, eta: float) -> float:
 
 @dataclass(frozen=True)
 class EscapeLimit:
-    """Large-K limits of the escape bound at a fixed interception rate."""
+    """Large-K limits of the escape bound at a fixed interception rate.
 
-    limit: float  # exp(-eta*H3*(1 - 2 eta) / (2 (1 - eta)))
-    relaxed: float  # exp(-eta*H3/2), the small-eta relaxation
+    ``relaxed`` lies *below* ``limit`` for every eta in (0, 1), since
+    (1 - 2 eta) / (1 - eta) < 1: it is not a bound on the S8 limit.  It
+    still bounds the true escape probability, which is at most
+    (1 - eta/2)^H3 <= exp(-eta H3 / 2).
+    """
+
+    limit: float  # exp(-eta*H3*(1 - 2 eta) / (2 (1 - eta))), the S8 limit
+    relaxed: float  # exp(-eta*H3/2), the small-eta form of the limit
 
 
 def asymptotic_bound(H3: int, eta_max: float) -> EscapeLimit:
@@ -129,7 +146,13 @@ def asymptotic_bound(H3: int, eta_max: float) -> EscapeLimit:
 
 
 def alpha_for(epsilon: float, eta_max: float) -> int:
-    """Path-decoy count pushing the relaxed escape bound below epsilon."""
+    """Path-decoy count pushing the relaxed escape limit exp(-eta H3 / 2) below epsilon.
+
+    The relaxed limit lies below the S8 limit, so this count is
+    conservative against the true escape probability, not against S8: at
+    epsilon = 0.01 and eta = 0.1 it gives 93 decoys, where the S8 limit
+    needs 104.
+    """
     _check_sizing(epsilon, eta_max)
     return math.ceil((2.0 / eta_max) * math.log(1.0 / epsilon))
 

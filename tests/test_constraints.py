@@ -156,6 +156,14 @@ def test_scatter_matches_the_per_sample_loop():
         assert tradeoff_scatter(samples, d, seed=d) == expected, (samples, d)
 
 
+@pytest.mark.parametrize("chunk", [7, 256, 1024])
+def test_scatter_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # 1030 samples leave a partial last chunk at every size.
+    expected = tradeoff_scatter(1030, 3, seed=4)
+    monkeypatch.setattr(constraints, "_SCATTER_CHUNK", chunk)
+    assert tradeoff_scatter(1030, 3, seed=4) == expected
+
+
 def test_trace_distance_basics():
     rho = np.diag([1.0, 0.0]).astype(complex)
     sigma = np.diag([0.0, 1.0]).astype(complex)
