@@ -146,6 +146,12 @@ def cmd_overhead(args: argparse.Namespace, out: IO[str]) -> int:
     for name in ("epsilon", "eta_max"):
         if not 0.0 < getattr(args, name) < 1.0:
             raise ConfigError(name, f"must be in (0, 1), got {getattr(args, name)}")
+    # The decoy counts round (2 / eta_max) ln(1 / epsilon) up to an int.
+    log_term = math.log(1.0 / args.epsilon)
+    for name, scale in (("epsilon", log_term), ("eta_max", 2.0 / args.eta_max * log_term)):
+        if not math.isfinite(scale):
+            value = getattr(args, name)
+            raise ConfigError(name, f"too small: the decoy count overflows, got {value}")
 
     exact = overhead.exact_escape_prob(K, H3, m)
     eta = m / K

@@ -13,6 +13,12 @@ Unreserved cycles are available for payload traffic (Type 1).
 After the run, each pair turns its decoy tallies into disturbance
 estimates and compares them against thresholds; exceeding either one
 flags an eavesdropper.
+
+The decoy runners are composed of the kernels in :mod:`~decoyroute.quantum`,
+:mod:`~decoyroute.channel` and :mod:`~decoyroute.adversary`.  The payload
+runner, which serves most slots, reads its stream draws inline, but it
+draws exactly what those kernels would; ``tests/oracles.py`` keeps the
+composed payload slot and the tests pin the two to equal draws and results.
 """
 
 from __future__ import annotations
@@ -222,15 +228,6 @@ def _eve_taps(
     return path_hit, qubit
 
 
-def _send_dummy_return(channel: ChannelModel, streams: Streams) -> None:
-    # Content is discarded; drawing its basis and bit and transmitting it
-    # keeps the wire pattern and the stream consumption identical across
-    # slot types.
-    streams.measurement.random()
-    streams.measurement.random()
-    transmit(channel.T, streams.channel)
-
-
 def run_type1_slot(
     cycle: int,
     sender: int,
@@ -243,11 +240,29 @@ def run_type1_slot(
     """One payload round trip: a Z-basis qubit out, dummy back.
 
     Returns whether the payload was delivered and whether Eve learned its
-    endpoints.
+    endpoints.  Payloads are most of a run's slots, so this runner reads
+    its draws inline instead of calling the slot kernels, but it draws
+    exactly what they would, in the same order and from the same streams;
+    ``tests/oracles.py::type1_slot_reference`` composes the kernels and
+    the tests hold the two equal.
     """
-    path_hit, _ = _eve_taps(cycle, sender, receiver, (payload_bit, True), eve, streams.eve)
-    delivered = transmit(channel.T, streams.channel)
-    _send_dummy_return(channel, streams)
+    eve_draw = streams.eve.random
+    path_hit = eve_draw() < eve.config.path_rate
+    if eve_draw() < eve.config.message_rate:
+        # intercept_message: Eve's basis, her outcome on a basis mismatch,
+        # then measure_qubit's flip draw, which never flips at flip_prob 0.
+        eve_z = eve_draw() < 0.5
+        bit = payload_bit if eve_z else int(eve_draw() < 0.5)
+        eve_draw()
+        eve.ledger.learned_bits.append((cycle, bit, eve_z))
+    if path_hit:
+        eve.ledger.learned_endpoints.append((cycle, sender, receiver))
+    channel_draw = streams.channel.random
+    delivered = channel_draw() < channel.T
+    # The dummy return: its basis and bit, then its transmission.
+    streams.measurement.random()
+    streams.measurement.random()
+    channel_draw()
     return delivered, path_hit
 
 
@@ -273,7 +288,12 @@ def run_type2_slot(
         measured = int(streams.measurement.random() < 0.5)
     error = measured != sent_bit
 
-    _send_dummy_return(channel, streams)
+    # Dummy return.  Content is discarded; drawing its basis and bit and
+    # transmitting it keeps the wire pattern and the stream consumption
+    # identical across slot types.
+    streams.measurement.random()
+    streams.measurement.random()
+    transmit(channel.T, streams.channel)
     stats.type2_trials += 1
     stats.type2_errors += int(error)
     return error
@@ -420,14 +440,19 @@ def run_simulation(
             # Greedy payload round trips from the first free cycle, one
             # every two cycles, each forward cycle before ``stop``.
             nonlocal type1_slots, type1_delivered, learned_type1
-            for cycle in range(free, stop, 2):
-                bit = int(streams.measurement.random() < 0.5)
-                delivered, learned = run_type1_slot(
-                    cycle, sender, receiver, bit, channel, eve, streams
+            cycles = range(free, stop, 2)
+            draw_bit = streams.measurement.random
+            run_slot = run_type1_slot  # read per gap, so a wrapped global is seen
+            delivered_sum = learned_sum = 0
+            for cycle in cycles:
+                delivered, learned = run_slot(
+                    cycle, sender, receiver, int(draw_bit() < 0.5), channel, eve, streams
                 )
-                type1_slots += 1
-                type1_delivered += delivered
-                learned_type1 += learned
+                delivered_sum += delivered
+                learned_sum += learned
+            type1_slots += len(cycles)
+            type1_delivered += delivered_sum
+            learned_type1 += learned_sum
 
         free = 0
         for cycle, is_type2, z_basis in zip(
@@ -469,10 +494,10 @@ def run_simulation(
         d3_pooled = min(0.5, pooled3_errors / pooled3_trials)
         inferred = inferred_eta(d3_pooled)
         if pooled2_trials > 0:
-            e_meas = min(0.5, pooled2_errors / pooled2_trials)
+            e_meas = pooled2_errors / pooled2_trials
         else:
             e_meas = message_error(channel.mu, channel.T)
-        leak_bound = leaked_fraction(d3_pooled, e_meas)
+        leak_bound = leaked_fraction(d3_pooled, min(0.5, e_meas))
 
     total_type1 = sum(p.type1_slots for p in pair_results)
     actual: float | None = None

@@ -2,10 +2,13 @@
 
 Everything here is computed from first principles (amplitude tables,
 exhaustive enumeration, density matrices, grid scans) without touching the
-code paths under test.  The one exception is ``scalar_tradeoff_scatter``:
-it draws its own unitaries and probes one sample at a time, and then calls
-the library's per-sample kernels, so it checks only the batching around
-them.
+code paths under test.  Two exceptions check only what is built around
+the library's kernels.  ``scalar_tradeoff_scatter`` draws its own
+unitaries and probes one sample at a time, and then calls the library's
+per-sample kernels, so it checks only the batching around them.
+``type1_slot_reference`` composes the library's slot kernels into a
+payload round trip, so it checks only that the inline payload runner
+draws and records what those kernels would.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from decoyroute.adversary import decide_intercept, intercept_message, intercept_path
+from decoyroute.channel import transmit
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -244,3 +250,24 @@ def greedy_payload_cycles(K: int, decoy_cycles) -> list[int]:
 def binomial_tolerance(p: float, n: int, n_sigma: float = 4.0) -> float:
     """n_sigma binomial standard errors around probability p."""
     return n_sigma * math.sqrt(p * (1.0 - p) / n)
+
+
+def type1_slot_reference(cycle, sender, receiver, payload_bit, channel, eve, streams):
+    """One payload round trip composed of the slot kernels; ``run_type1_slot``'s contract.
+
+    Eve's path and message decisions, her tap of the Z-basis payload qubit,
+    the payload's transmission, then the dummy return: its basis and bit
+    from the measurement stream and its transmission.
+    """
+    path_hit = decide_intercept(eve.config.path_rate, streams.eve)
+    msg_hit = decide_intercept(eve.config.message_rate, streams.eve)
+    if path_hit:
+        intercept_path(eve.ledger, cycle, sender, receiver)
+    if msg_hit:
+        eve_bit, eve_z = intercept_message(payload_bit, True, streams.eve)
+        eve.ledger.learned_bits.append((cycle, eve_bit, eve_z))
+    delivered = transmit(channel.T, streams.channel)
+    streams.measurement.random()
+    streams.measurement.random()
+    transmit(channel.T, streams.channel)
+    return delivered, path_hit

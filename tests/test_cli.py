@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from decoyroute import cli, overhead
+from decoyroute.analysis import leaked_fraction
 from decoyroute.cli import (
     DEFAULTS,
     EXIT_CONFIG_ERROR,
@@ -409,6 +410,39 @@ def test_overhead_rejects_k_past_the_hypergeometric_limit(monkeypatch, capsys):
         code, text = run_cli("overhead", *argv)
         assert (code, text) == (EXIT_CONFIG_ERROR, ""), argv
         assert capsys.readouterr().err.startswith("error: config key 'K': "), argv
+
+
+def test_overhead_rejects_an_overflowing_decoy_count(monkeypatch, capsys):
+    # alpha and beta round (2 / eta_max) ln(1 / epsilon) up; an infinite one cannot be.
+    def must_not_run(*args):
+        raise AssertionError("kernel ran before the sizing check")
+
+    monkeypatch.setattr(overhead, "exact_escape_prob", must_not_run)
+    monkeypatch.setattr(overhead, "montecarlo_escape", must_not_run)
+    for flags, name in (
+        (("--eta-max", "1e-308"), "--eta-max"),
+        (("--epsilon", "5e-324"), "--epsilon"),
+        (("--epsilon", "1e-300", "--eta-max", "1e-306"), "--eta-max"),
+    ):
+        code, text = run_cli("overhead", "--K", "30", "--trials", "10", *flags)
+        assert (code, text) == (EXIT_CONFIG_ERROR, ""), flags
+        assert capsys.readouterr().err.startswith(f"error: option '{name}': "), flags
+
+
+def test_simulate_without_message_decoys_clamps_the_modelled_error():
+    # With no Type 2 trial the bound prices e = message_error(mu, T), clamped
+    # to 0.5 like a measured rate; mu = 0.9 gives 0.9 unclamped.
+    for flags in ((), ("--K", "800", "--H3", "100", "--gamma", "0.1")):
+        code, text = run_cli(
+            "simulate", "--K", "100", "--H2", "0", "--H3", "10", "--mu", "0.9", *flags
+        )
+        assert code == EXIT_OK, flags
+        blocks = text.strip().split("\n\n")
+        cells = blocks[0].splitlines()[1].split(",")
+        d3 = int(cells[5]) / int(cells[4])
+        bound = blocks[1].splitlines()[1].split(",")[2]
+        assert bound == fmt(leaked_fraction(min(0.5, d3), 0.5)), flags
+        assert d3 > 0 or not flags
 
 
 def test_overhead_rejects_m_and_eta_together():

@@ -1,0 +1,91 @@
+"""CLI fuzz: generated flag values for simulate, overhead and figure2.
+
+Whatever the flags, a run ends with exit 0, 1 or 2: an internal error
+(exit 3) on user input is a bug.  Every exit 2 names the config key or the
+option at fault.  Each command starts from small sizes (at most 40 cycles,
+trials or steps), which any generated flag may override.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from decoyroute.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, main
+from decoyroute.config import RunConfig
+
+# A ConfigError names "config key 'K'" or "option '--steps'"; argparse
+# names "argument --steps".
+NAMED = re.compile(r"config key '\w+'|option '--[\w-]+'|argument --[\w-]+")
+
+BASE = {
+    "simulate": ["--K=40", "--H2=4", "--H3=4"],
+    "overhead": ["--K=40", "--H3=8", "--trials=40"],
+    "figure2": ["--steps=40"],
+}
+INT_OPTIONS = {"seed", "K", "num_nodes", "H2", "H3", "trials", "m", "steps"}
+FLOAT_OPTIONS = {
+    "gamma", "mu", "T", "loss_db", "eta_path", "eta_msg", "threshold2", "threshold3",
+    "eta", "epsilon", "eta_max", "loss_min", "loss_max",
+}
+OPTIONS = {
+    "simulate": sorted(vars(RunConfig())),
+    "overhead": ["K", "H3", "trials", "seed", "m", "eta", "epsilon", "eta_max"],
+    "figure2": ["gamma", "mu", "seed", "loss_min", "loss_max", "steps"],
+}
+
+junk = st.sampled_from(["", "nan", "inf", "-inf", "x", "1e-308", "5e-324", "0-1", "none"])
+ints = st.integers(-3, 40).map(str)
+floats = st.one_of(
+    st.floats(0.0, 1.0), st.floats(allow_nan=True, allow_infinity=True)
+).map(repr)
+pair_lists = st.lists(
+    st.tuples(st.integers(-1, 4), st.integers(-1, 4)), min_size=1, max_size=4
+).map(lambda pairs: ",".join(f"{a}-{b}" for a, b in pairs))
+bad_pair_lists = st.sampled_from(["0-0", "0-1,0-1", "1-", "-", "a-b", "0-1-2", ",", "0-1,,1-0"])
+choices = st.sampled_from(["none", "path", "message", "both", "full", "silent"])
+
+
+def values(option: str) -> st.SearchStrategy[str]:
+    if option in INT_OPTIONS:
+        return st.one_of(ints, ints, ints, junk)
+    if option in FLOAT_OPTIONS:
+        return st.one_of(floats, floats, ints, junk)
+    if option == "pairs":
+        return st.one_of(pair_lists, bad_pair_lists, junk)
+    return st.one_of(choices, junk)  # attack and traffic
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    options = draw(st.lists(st.sampled_from(OPTIONS[command]), max_size=5, unique=True))
+    flags = [f"--{option.replace('_', '-')}={draw(values(option))}" for option in options]
+    return [command, *BASE[command], *flags]
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(command_lines())
+@example(["simulate", "--K=100", "--H2=0", "--H3=10", "--mu=0.9"])
+@example(["overhead", "--K=30", "--trials=10", "--eta-max=1e-308"])
+@example(["overhead", "--K=30", "--trials=10", "--epsilon=5e-324"])
+def test_cli_exits_0_1_or_2_and_names_the_key_at_fault(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv, stdout=io.StringIO())
+        except SystemExit as exc:  # argparse rejected the flags
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_CONFIG_ERROR), (argv, err.getvalue())
+    if code == EXIT_CONFIG_ERROR:
+        assert NAMED.search(err.getvalue()), (argv, err.getvalue())

@@ -324,6 +324,34 @@ def test_block_draws_equal_scalar_draws(name, pair_index):
     assert drawn == seeding.stream_rng(31, name, pair_index).random(n).tolist()
 
 
+@pytest.mark.parametrize("block_draws", [True, False], ids=["from_seed", "raw"])
+@pytest.mark.parametrize("T", [1.0, 0.8])
+@pytest.mark.parametrize("eta_path, eta_msg", [(0.4, 0.3), (1.0, 1.0)])
+@pytest.mark.parametrize("mode", list(AttackMode), ids=lambda mode: mode.value)
+def test_inline_payload_runner_draws_what_the_kernels_draw(
+    mode, eta_path, eta_msg, T, block_draws
+):
+    channel = ChannelModel(T=T, gamma=0.05, mu=0.03)
+    attack = AttackConfig(mode=mode, eta_path=eta_path, eta_msg=eta_msg)
+    runs = []
+    for runner in (run_type1_slot, oracles.type1_slot_reference):
+        if block_draws:
+            streams = Streams.from_seed(43)
+        else:
+            streams = Streams(**{name: seeding.stream_rng(43, name) for name in STREAM_NAMES})
+        eve = Eavesdropper(attack)
+        results = [
+            runner(2 * i, 0, 1, int(streams.measurement.random() < 0.5), channel, eve, streams)
+            for i in range(3000)
+        ]
+        next_draws = [getattr(streams, name).random() for name in STREAM_NAMES]
+        runs.append((results, eve.ledger, next_draws))
+    assert runs[0] == runs[1]
+    ledger = runs[0][1]
+    assert bool(ledger.learned_endpoints) == (attack.path_rate > 0)
+    assert bool(ledger.learned_bits) == (attack.message_rate > 0)
+
+
 @pytest.mark.parametrize("slot_type", [1, 2, 3])
 def test_runners_on_block_draws_match_raw_generators(slot_type):
     channel = ChannelModel(T=0.8, gamma=0.05, mu=0.03)
