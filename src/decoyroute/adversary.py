@@ -16,17 +16,16 @@ message-decoy slot they disturb the bit exactly as an intercept-resend does
 in BB84.
 
 Qubits are plain ``(bit, z)`` pairs, as in :mod:`decoyroute.quantum`.  The
-kernels here take their rates unchecked: :class:`AttackConfig` checks them
-once, when the run is configured.
+kernels here take the uniforms they consume, and their rates unchecked:
+:class:`AttackConfig` checks them once, when the run is configured.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
 
 from .quantum import measure_qubit
 
@@ -91,22 +90,30 @@ class Eavesdropper:
     ledger: EveLedger = field(default_factory=EveLedger)
 
 
-def decide_intercept(rate: float, rng: np.random.Generator) -> bool:
-    """Bernoulli interception decision for one round trip, independent per cycle."""
-    return rng.random() < rate
+def decide_intercept(rate: float, u):
+    """Bernoulli interception decision for one round trip, independent per cycle.
+
+    The uniform ``u`` decides; elementwise over an array of uniforms.
+    """
+    return u < rate
 
 
-def intercept_message(bit: int, z: bool, rng: np.random.Generator) -> tuple[int, bool]:
+def intercept_message(bit: int, z: bool, draw: Callable[[], float]) -> tuple[int, bool]:
     """Measure the qubit ``(bit, z)`` in a uniformly chosen basis and resend the outcome.
 
     Returns the eigenstate Eve observed, ``(eve_bit, eve_z)``: both what she
     records and the qubit she resends.  With a matching basis the resend is
     transparent; with the conjugate basis the resent state is uncorrelated
     with the original, which is what trips the message-decoy check
-    downstream.
+    downstream.  ``draw`` returns Eve's next uniform: one for her basis,
+    then one for a matched measurement or two for a mismatched one, so a
+    tap reads 2 or 3 uniforms.  Only a message attack taps, one slot at a
+    time.
     """
-    eve_z = rng.random() < 0.5
-    return measure_qubit(bit, z, eve_z, 0.0, rng), eve_z
+    eve_z = draw() < 0.5
+    coin = draw()
+    flip = draw() if eve_z != z else coin
+    return int(measure_qubit(bit, z, eve_z, 0.0, coin, flip)), eve_z
 
 
 def intercept_path(ledger: EveLedger, cycle: int, sender: int, receiver: int) -> None:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ChannelModel:
@@ -40,9 +38,10 @@ def loss_db_to_T(loss_db: float) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
-def transmit(T: float, rng: np.random.Generator) -> bool:
-    """Sample one photon transmission: survives with probability T.
+def transmit(T: float, u):
+    """One photon transmission: survives with probability T, decided by the uniform ``u``.
 
-    ``T`` is taken unchecked; :class:`ChannelModel` checks it once.
+    Elementwise over an array of uniforms.  ``T`` is taken unchecked;
+    :class:`ChannelModel` checks it once.
     """
-    return rng.random() < T
+    return u < T

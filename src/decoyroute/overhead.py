@@ -153,8 +153,7 @@ def alpha_for(epsilon: float, eta_max: float) -> int:
     epsilon = 0.01 and eta = 0.1 it gives 93 decoys, where the S8 limit
     needs 104.
     """
-    _check_sizing(epsilon, eta_max)
-    return math.ceil((2.0 / eta_max) * math.log(1.0 / epsilon))
+    return math.ceil(_check_sizing(epsilon, eta_max, 2.0))
 
 
 def beta_for(epsilon: float, eta_max: float, *, bb84_detection: bool = False) -> int:
@@ -164,9 +163,7 @@ def beta_for(epsilon: float, eta_max: float, *, bb84_detection: bool = False) ->
     an intercept-resend on a message decoy replaces the path decoys' 1/2,
     doubling the required count.
     """
-    _check_sizing(epsilon, eta_max)
-    factor = 4.0 if bb84_detection else 2.0
-    return math.ceil((factor / eta_max) * math.log(1.0 / epsilon))
+    return math.ceil(_check_sizing(epsilon, eta_max, 4.0 if bb84_detection else 2.0))
 
 
 @dataclass(frozen=True)
@@ -245,8 +242,20 @@ def _check_counts(H2: int, H3: int) -> None:
         raise ValueError("slot counts must be non-negative")
 
 
-def _check_sizing(epsilon: float, eta_max: float) -> None:
+def _check_sizing(epsilon: float, eta_max: float, factor: float) -> float:
+    """The unrounded decoy count (factor / eta_max) ln(1 / epsilon), once its inputs pass.
+
+    An ``epsilon`` or ``eta_max`` so small that the count is not a finite
+    float is rejected by name, before it can overflow the rounding.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be strictly inside (0, 1), got {epsilon}")
     if not 0.0 < eta_max < 1.0:
         raise ValueError(f"eta_max must be strictly inside (0, 1), got {eta_max}")
+    log_term = math.log(1.0 / epsilon)
+    if not math.isfinite(log_term):
+        raise ValueError(f"epsilon is too small: the decoy count overflows, got {epsilon}")
+    count = (factor / eta_max) * log_term
+    if not math.isfinite(count):
+        raise ValueError(f"eta_max is too small: the decoy count overflows, got {eta_max}")
+    return count

@@ -15,10 +15,24 @@ estimates and compares them against thresholds; exceeding either one
 flags an eavesdropper.
 
 The decoy runners are composed of the kernels in :mod:`~decoyroute.quantum`,
-:mod:`~decoyroute.channel` and :mod:`~decoyroute.adversary`.  The payload
-runner, which serves most slots, reads its stream draws inline, but it
-draws exactly what those kernels would; ``tests/oracles.py`` keeps the
-composed payload slot and the tests pin the two to equal draws and results.
+:mod:`~decoyroute.channel` and :mod:`~decoyroute.adversary`, which take
+the uniforms they consume and work elementwise on floats or arrays.
+
+A pair's slots run on one of two engines, chosen by the attack alone.
+Without a message attack (effective ``message_rate`` 0) every slot reads
+a fixed number of uniforms from each stream, so the chunk engine
+(:func:`_run_pair_by_chunk`) draws a block per stream for up to
+``SLOT_CHUNK`` slots and calls the decoy runners once per chunk on arrays.
+A message attack makes the draw counts depend on the data (Eve's extra
+uniforms per tap, the receiver's extra coin after a mismatched resend), so
+those runs keep the per-slot loop (:func:`_run_pair_by_slot`), which calls
+the same runners with floats; moving them to chunks needs a fixed draw
+layout per slot (ROADMAP items 2 and 9), which changes every seeded
+output.  Both engines give the same results, ledger and CSV bytes for the
+same run.  The payload runner of the per-slot loop
+reads its stream draws inline, but it draws exactly what the kernels
+would; ``tests/oracles.py`` keeps the composed payload slot and the tests
+pin the two to equal draws and results.
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ from .adversary import (
 )
 from .analysis import baseline_disturbance, inferred_eta, leaked_fraction, message_error
 from .channel import ChannelModel, transmit
-from .quantum import interfere_path_packet, measure_qubit, prepare_path_packet
+from .quantum import interfere_path_packet, measure_qubit, prepare_path_packet, where
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,22 +132,35 @@ class BlockDraws:
         self.random = itertools.chain.from_iterable(blocks).__next__
 
 
+class ColumnDraws:
+    """Serves one draw for each of many slots per call.
+
+    The k-th ``random()`` returns ``block[first + k]``: the k-th uniform
+    of every slot whose first uniform sits at ``first`` in ``block``.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, block: np.ndarray, first: np.ndarray) -> None:
+        self.random = (block.take(first + k) for k in itertools.count()).__next__
+
+
 @dataclass
 class Streams:
-    """Per-subsystem draw sources for one simulated pair.
+    """Per-subsystem draw sources for one simulated pair, or for a batch of slots.
 
     The slot runners call only ``random()`` on each field, so a field may
     be a raw ``np.random.Generator`` or the :class:`BlockDraws` that
-    :meth:`from_seed` wraps around it.  Both give the same values in the
-    same order: PCG64 yields one double per 64-bit output, so block draws
-    equal scalar draws.  A block source reads ahead of the run by up to
-    one block, which nothing observes because its generator is never read
-    again after the run.
+    :meth:`from_seed` wraps around it; both give the same values in the
+    same order, since PCG64 yields one double per 64-bit output.  A block
+    source reads ahead of the run by up to one block, which nothing
+    observes because its generator is never read again after the run.  The
+    chunk engine passes :class:`ColumnDraws` instead, one column per call.
     """
 
-    channel: BlockDraws | np.random.Generator
-    measurement: BlockDraws | np.random.Generator
-    eve: BlockDraws | np.random.Generator
+    channel: BlockDraws | ColumnDraws | np.random.Generator
+    measurement: BlockDraws | ColumnDraws | np.random.Generator
+    eve: BlockDraws | ColumnDraws | np.random.Generator
 
     @classmethod
     def from_seed(cls, root_seed: int, pair_index: int = 0) -> "Streams":
@@ -203,29 +230,18 @@ def generate_schedule(
     return Schedule(K=K, assignments=assignments, shared_seed=shared_seed)
 
 
-def _eve_taps(
-    cycle: int,
-    sender: int,
-    receiver: int,
-    qubit: tuple[int, bool],
-    eve: Eavesdropper,
-    rng: np.random.Generator,
-) -> tuple[bool, tuple[int, bool]]:
-    """Eve's interceptions of one round trip carrying ``qubit``.
+def _tap_message(cycle, qubit, eve: Eavesdropper, draws):
+    """Eve's content decision for one round trip; returns the qubit as it travels on.
 
-    Returns whether she measured the propagation mode, and the qubit as it
-    travels on: her resend if she measured the content, else ``qubit``.
+    Its uniform is drawn every transaction, so the eavesdropper stream
+    stays aligned across attack modes.  Without a message attack nothing
+    is tapped, which lets arrays of slots through unchanged.
     """
-    # Both decisions are drawn every transaction so the eavesdropper
-    # stream stays aligned across attack modes.
-    path_hit = decide_intercept(eve.config.path_rate, rng)
-    msg_hit = decide_intercept(eve.config.message_rate, rng)
-    if path_hit:
-        intercept_path(eve.ledger, cycle, sender, receiver)
-    if msg_hit:
-        qubit = intercept_message(*qubit, rng)
+    u = draws.random()
+    if eve.config.message_rate > 0 and decide_intercept(eve.config.message_rate, u):
+        qubit = intercept_message(*qubit, draws.random)
         eve.ledger.learned_bits.append((cycle, *qubit))
-    return path_hit, qubit
+    return qubit
 
 
 def run_type1_slot(
@@ -266,62 +282,53 @@ def run_type1_slot(
     return delivered, path_hit
 
 
-def run_type2_slot(
-    cycle: int,
-    sender: int,
-    receiver: int,
-    z: bool,
-    channel: ChannelModel,
-    eve: Eavesdropper,
-    streams: Streams,
-    stats: DisturbanceStats,
-) -> bool:
-    """One message-integrity decoy in the Z basis if ``z``, else X.
+def run_type2_slot(cycle, z, channel: ChannelModel, eve: Eavesdropper, streams: Streams):
+    """One message-integrity decoy in the Z basis where ``z``, else X; returns whether it erred.
 
-    Returns whether it counted an error.
+    Eve's mode decision for the round trip is the caller's: it leaves the
+    qubit alone.  Without a message attack the runner is elementwise, so
+    ``cycle`` and ``z`` may be arrays of decoys drawn from
+    :class:`ColumnDraws`.
     """
-    sent_bit = int(streams.measurement.random() < 0.5)
-    _, qubit = _eve_taps(cycle, sender, receiver, (sent_bit, z), eve, streams.eve)
-    if transmit(channel.T, streams.channel):
-        measured = measure_qubit(*qubit, z, channel.mu, streams.measurement)
-    else:
-        measured = int(streams.measurement.random() < 0.5)
-    error = measured != sent_bit
+    measurement = streams.measurement.random
+    sent_bit = measurement() < 0.5
+    bit, qubit_z = _tap_message(cycle, (sent_bit, z), eve, streams.eve)
+    transmitted = transmit(channel.T, streams.channel.random())
+    # The uniform u is a lost photon's coin or a delivered one's flip draw.  A
+    # photon Eve resent in the other basis reads u as the coin and one more
+    # uniform as the flip draw; only a message attack does that, and it runs
+    # one slot at a time.
+    u = measurement()
+    mismatched = eve.config.message_rate > 0 and transmitted and qubit_z != z
+    flip = measurement() if mismatched else u
+    measured = where(transmitted, measure_qubit(bit, qubit_z, z, channel.mu, u, flip), u < 0.5)
 
     # Dummy return.  Content is discarded; drawing its basis and bit and
     # transmitting it keeps the wire pattern and the stream consumption
     # identical across slot types.
-    streams.measurement.random()
-    streams.measurement.random()
-    transmit(channel.T, streams.channel)
-    stats.type2_trials += 1
-    stats.type2_errors += int(error)
-    return error
+    measurement()
+    measurement()
+    transmit(channel.T, streams.channel.random())
+    return measured != sent_bit
 
 
-def run_type3_slot(
-    cycle: int,
-    sender: int,
-    receiver: int,
-    channel: ChannelModel,
-    eve: Eavesdropper,
-    streams: Streams,
-    stats: DisturbanceStats,
-) -> bool:
-    """One path-integrity decoy; returns whether it counted an error."""
-    sign, dummy = prepare_path_packet(streams.measurement)
+def run_type3_slot(cycle, path_hit, channel: ChannelModel, eve: Eavesdropper, streams: Streams):
+    """One path-integrity decoy; returns whether it erred.
+
+    ``path_hit`` is Eve's mode decision for the round trip, made by the
+    caller.  Elementwise like :func:`run_type2_slot`.
+    """
+    measurement = streams.measurement.random
+    sign, dummy = prepare_path_packet(measurement(), measurement(), measurement())
     # A content tap touches only the dummy payload, not the mode.
-    path_hit, _ = _eve_taps(cycle, sender, receiver, dummy, eve, streams.eve)
+    _tap_message(cycle, dummy, eve, streams.eve)
 
     # Ideal resend hardware: interception leaves survival untouched, but a
     # mode measurement destroys the superposition.
-    out_leg = transmit(channel.T, streams.channel)
-    back_leg = transmit(channel.T, streams.channel)
-    intact = out_leg and back_leg and not path_hit
-    error = interfere_path_packet(sign, intact, channel.gamma, streams.measurement) != sign
-    stats.type3_trials += 1
-    stats.type3_errors += int(error)
-    return error
+    out_leg = transmit(channel.T, streams.channel.random())
+    back_leg = transmit(channel.T, streams.channel.random())
+    intact = out_leg & back_leg & (path_hit ^ True)  # ^ True: not, elementwise
+    return interfere_path_packet(sign, intact, channel.gamma, measurement()) != sign
 
 
 def detect_eavesdropper(
@@ -353,6 +360,165 @@ def default_thresholds(
     if type3_trials > 0:
         th3 += n_sigma * math.sqrt(d * (1.0 - d) / type3_trials)
     return min(0.5, th2), min(0.5, th3)
+
+
+PairTally = tuple[DisturbanceStats, int, int, int]
+"""A pair's decoy counters, payload slots, delivered payloads and payloads Eve traced."""
+
+
+def _run_pair_by_slot(
+    K: int,
+    sender: int,
+    receiver: int,
+    decoys: PairSchedule,
+    channel: ChannelModel,
+    eve: Eavesdropper,
+    seed: int,
+    pair_index: int,
+    traffic: str,
+) -> PairTally:
+    """Run one pair's slots in cycle order, one runner call per slot."""
+    streams = Streams.from_seed(seed, pair_index)
+    stats = DisturbanceStats()
+    type1_slots = 0
+    type1_delivered = 0
+    learned_type1 = 0
+
+    def run_payloads(stop: int) -> None:
+        # Greedy payload round trips from the first free cycle, one
+        # every two cycles, each forward cycle before ``stop``.
+        nonlocal type1_slots, type1_delivered, learned_type1
+        cycles = range(free, stop, 2)
+        draw_bit = streams.measurement.random
+        run_slot = run_type1_slot  # read per gap, so a wrapped global is seen
+        delivered_sum = learned_sum = 0
+        for cycle in cycles:
+            delivered, learned = run_slot(
+                cycle, sender, receiver, int(draw_bit() < 0.5), channel, eve, streams
+            )
+            delivered_sum += delivered
+            learned_sum += learned
+        type1_slots += len(cycles)
+        type1_delivered += delivered_sum
+        learned_type1 += learned_sum
+
+    free = 0
+    path_rate, eve_draw = eve.config.path_rate, streams.eve.random
+    for cycle, is_type2, z_basis in zip(
+        decoys.cycle.tolist(), decoys.type2.tolist(), decoys.z_basis.tolist()
+    ):
+        if traffic == "full":
+            # A payload's return may not land on the decoy's cycle.
+            run_payloads(cycle - 1)
+        # Eve decides on a round trip before its slot type shows.
+        path_hit = decide_intercept(path_rate, eve_draw())
+        if path_hit:
+            intercept_path(eve.ledger, cycle, sender, receiver)
+        if is_type2:
+            stats.type2_trials += 1
+            stats.type2_errors += run_type2_slot(cycle, z_basis, channel, eve, streams)
+        else:
+            stats.type3_trials += 1
+            stats.type3_errors += run_type3_slot(cycle, path_hit, channel, eve, streams)
+        free = cycle + 2
+    if traffic == "full":
+        # The last payload's return may fall on cycle K.
+        run_payloads(K)
+    return stats, type1_slots, type1_delivered, learned_type1
+
+
+SLOT_CHUNK = 1 << 13  # slots per chunk: at most 512 KB of uniforms
+
+
+def _run_pair_by_chunk(
+    K: int,
+    sender: int,
+    receiver: int,
+    decoys: PairSchedule,
+    channel: ChannelModel,
+    eve: Eavesdropper,
+    seed: int,
+    pair_index: int,
+    traffic: str,
+) -> PairTally:
+    """:func:`_run_pair_by_slot`'s tally for a run without a message attack, by chunks of slots.
+
+    Without a message attack every slot reads 2 channel and 2 eve
+    uniforms, and 3 measurement uniforms for a payload or 4 for a decoy,
+    so a slot's offset in each stream is a running count over the slots
+    before it.  ``Generator.random(n)`` returns the same values as n
+    scalar draws, so each chunk of up to ``SLOT_CHUNK`` slots draws one
+    block per stream and applies the Type 1/2/3 rules to arrays.  Memory
+    is O(SLOT_CHUNK + decoys) whatever K is.
+    """
+    cycles = decoys.cycle
+    ordinal = np.arange(len(cycles))  # each decoy's slot
+    tail = 0
+    if traffic == "full":
+        # Greedy packing: the payloads before each decoy, then those after the last.
+        free = np.concatenate(([0], cycles + 2))
+        ordinal += np.cumsum((cycles - free[:-1]) // 2)
+        tail = max(0, (K - int(free[-1]) + 1) // 2)
+    slots = (int(ordinal[-1]) + 1 if len(ordinal) else 0) + tail
+
+    channel_rng, measurement_rng, eve_rng = (
+        seeding.stream_rng(seed, name, pair_index) for name in ("channel", "measurement", "eve")
+    )
+    stats = DisturbanceStats()
+    type1_slots = type1_delivered = learned_type1 = 0
+    for start in range(0, slots, SLOT_CHUNK):
+        size = min(SLOT_CHUNK, slots - start)
+        lo, hi = np.searchsorted(ordinal, (start, start + size)).tolist()
+        at = ordinal[lo:hi] - start  # the chunk's decoys, by position in the chunk
+        chan = channel_rng.random(2 * size)
+        eve_u = eve_rng.random(2 * size)
+        meas = measurement_rng.random(3 * size + hi - lo)
+
+        # Eve decides on every round trip before its slot type shows.
+        path_hit = decide_intercept(eve.config.path_rate, eve_u[::2])
+        if path_hit.any():
+            # A slot's cycle follows from the last decoy at or before it, or
+            # from a decoy before the first at cycle -2: payloads come every
+            # two cycles after it.
+            hit = start + np.flatnonzero(path_hit)
+            last = np.searchsorted(ordinal, hit, side="right")
+            anchor_cycle = np.concatenate(([-2], cycles)).take(last)
+            anchor_ordinal = np.concatenate(([-1], ordinal)).take(last)
+            hit_cycles = anchor_cycle + 2 * (hit - anchor_ordinal)
+            # The entries intercept_path records, one per tapped round trip.
+            eve.ledger.learned_endpoints.extend(
+                zip(hit_cycles.tolist(), itertools.repeat(sender), itertools.repeat(receiver))
+            )
+
+        payload = np.ones(size, dtype=bool)
+        payload[at] = False
+        type1_slots += size - (hi - lo)
+        type1_delivered += int(np.count_nonzero(transmit(channel.T, chan[::2][payload])))
+        learned_type1 += int(np.count_nonzero(path_hit[payload]))
+
+        # A decoy's measurement uniforms follow 3 per payload and 4 per decoy before it.
+        first_meas = 3 * at + np.arange(hi - lo)
+
+        def columns(kind: np.ndarray) -> Streams:
+            rows = at.take(kind)
+            return Streams(
+                channel=ColumnDraws(chan, 2 * rows),
+                measurement=ColumnDraws(meas, first_meas.take(kind)),
+                eve=ColumnDraws(eve_u, 2 * rows + 1),  # the message decision's uniform
+            )
+
+        type2 = decoys.type2[lo:hi]
+        kind = np.flatnonzero(type2)
+        z = decoys.z_basis[lo:hi].take(kind)
+        errors = run_type2_slot(cycles[lo:hi].take(kind), z, channel, eve, columns(kind))
+        stats.type2_trials += len(kind)
+        stats.type2_errors += int(np.count_nonzero(errors))
+        kind = np.flatnonzero(~type2)
+        tapped = path_hit.take(at.take(kind))
+        errors = run_type3_slot(cycles[lo:hi].take(kind), tapped, channel, eve, columns(kind))
+        stats.type3_trials += len(kind)
+        stats.type3_errors += int(np.count_nonzero(errors))
+    return stats, type1_slots, type1_delivered, learned_type1
 
 
 @dataclass
@@ -427,49 +593,14 @@ def run_simulation(
         threshold2 = auto2 if threshold2 is None else threshold2
         threshold3 = auto3 if threshold3 is None else threshold3
 
+    # The message rate alone picks the engine; both give the same bytes.
+    run_pair = _run_pair_by_slot if attack.message_rate > 0 else _run_pair_by_chunk
     pair_results: list[PairResult] = []
     for pair_index, (sender, receiver) in enumerate(node_pairs):
-        streams = Streams.from_seed(seed, pair_index)
-        decoys = schedule.for_pair(sender, receiver)
-        stats = DisturbanceStats()
-        type1_slots = 0
-        type1_delivered = 0
-        learned_type1 = 0
-
-        def run_payloads(stop: int) -> None:
-            # Greedy payload round trips from the first free cycle, one
-            # every two cycles, each forward cycle before ``stop``.
-            nonlocal type1_slots, type1_delivered, learned_type1
-            cycles = range(free, stop, 2)
-            draw_bit = streams.measurement.random
-            run_slot = run_type1_slot  # read per gap, so a wrapped global is seen
-            delivered_sum = learned_sum = 0
-            for cycle in cycles:
-                delivered, learned = run_slot(
-                    cycle, sender, receiver, int(draw_bit() < 0.5), channel, eve, streams
-                )
-                delivered_sum += delivered
-                learned_sum += learned
-            type1_slots += len(cycles)
-            type1_delivered += delivered_sum
-            learned_type1 += learned_sum
-
-        free = 0
-        for cycle, is_type2, z_basis in zip(
-            decoys.cycle.tolist(), decoys.type2.tolist(), decoys.z_basis.tolist()
-        ):
-            if traffic == "full":
-                # A payload's return may not land on the decoy's cycle.
-                run_payloads(cycle - 1)
-            if is_type2:
-                run_type2_slot(cycle, sender, receiver, z_basis, channel, eve, streams, stats)
-            else:
-                run_type3_slot(cycle, sender, receiver, channel, eve, streams, stats)
-            free = cycle + 2
-        if traffic == "full":
-            # The last payload's return may fall on cycle K.
-            run_payloads(K)
-
+        stats, type1_slots, type1_delivered, learned_type1 = run_pair(
+            K, sender, receiver, schedule.for_pair(sender, receiver),
+            channel, eve, seed, pair_index, traffic,
+        )
         detected = detect_eavesdropper(stats.d2_hat, stats.d3_hat, threshold2, threshold3)
         pair_results.append(
             PairResult(

@@ -18,9 +18,11 @@ model only ever needs outcome probabilities, and those follow from the
 The full-matrix treatment of general attacks lives in
 :mod:`decoyroute.constraints`.
 
-All functions are pure given the caller's random source; callers own
-their streams (see :mod:`decoyroute.seeding`) and check the rates they
-pass once, when they build their :class:`~decoyroute.channel.ChannelModel`.
+Every function here is pure: it takes the uniforms it consumes instead
+of a random source, and works elementwise, on floats for one slot or on
+arrays for many slots at once (see :func:`where`).  Callers own their
+streams (see :mod:`decoyroute.seeding`) and check the rates they pass
+once, when they build their :class:`~decoyroute.channel.ChannelModel`.
 """
 
 from __future__ import annotations
@@ -28,47 +30,52 @@ from __future__ import annotations
 import numpy as np
 
 
-def measure_qubit(
-    bit: int, z: bool, meas_z: bool, flip_prob: float, rng: np.random.Generator
-) -> int:
+def where(condition, if_true, if_false):
+    """``if_true`` where ``condition`` holds, else ``if_false``.
+
+    ``np.where`` on arrays and a plain conditional on a Python bool, so the
+    same formula serves one slot at scalar speed and a batch of slots.
+    """
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, if_true, if_false)
+    return if_true if condition else if_false
+
+
+def measure_qubit(bit, z, meas_z, flip_prob: float, coin, flip):
     """Measure the qubit ``(bit, z)`` in the basis ``meas_z``, returning the observed bit.
 
     Matching bases reproduce the prepared bit up to a flip with
-    probability ``flip_prob`` (the channel's baseline measurement error).
-    Mismatched conjugate bases yield a uniform bit; the flip is applied
-    afterwards, which leaves the distribution uniform.
+    probability ``flip_prob`` (the channel's baseline measurement error),
+    decided by the uniform ``flip``.  Mismatched conjugate bases yield a
+    uniform bit, decided by the uniform ``coin``; the flip is applied
+    afterwards, which leaves the distribution uniform.  A matched
+    measurement ignores ``coin``: it reads one uniform, which its caller
+    passes as both.
     """
-    if meas_z != z:
-        bit = int(rng.random() < 0.5)
-    if rng.random() < flip_prob:
-        bit ^= 1
-    return bit
+    # A mismatched basis swaps the bit for the coin's: bit ^ (bit ^ coin bit).
+    observed = bit ^ ((meas_z != z) & (bit ^ (coin < 0.5)))
+    return observed ^ (flip < flip_prob)
 
 
-def prepare_path_packet(rng: np.random.Generator) -> tuple[int, tuple[int, bool]]:
+def prepare_path_packet(sign_u, z_u, bit_u):
     """A fresh path packet: a uniform sign (+1/-1) and a random dummy ``(bit, z)``.
 
+    Each of the three uniforms decides the quantity it is named after.
     The dummy qubit rides along as packet payload but is never measured by
     either node.
     """
-    sign = 1 if rng.random() < 0.5 else -1
-    z = rng.random() < 0.5
-    return sign, (int(rng.random() < 0.5), z)
+    return 1 - 2 * (sign_u >= 0.5), (bit_u < 0.5, z_u < 0.5)  # the sign is +1 below 1/2
 
 
-def interfere_path_packet(
-    sign: int, intact: bool, visibility_error: float, rng: np.random.Generator
-) -> int:
+def interfere_path_packet(sign, intact, visibility_error: float, u):
     """Interferometric sign readout at the origin node; returns +1 or -1.
 
     A packet that is not ``intact`` (lost on either leg, or with its
     superposition destroyed by a which-path measurement in transit) makes
     the two output ports equiprobable, so the result is a fair coin.  An
     intact packet reproduces its ``sign`` except with probability
-    ``visibility_error`` (finite interferometer visibility).
+    ``visibility_error`` (finite interferometer visibility).  The uniform
+    ``u`` decides either case.
     """
-    if not intact:
-        return 1 if rng.random() < 0.5 else -1
-    if rng.random() < visibility_error:
-        return -sign
-    return sign
+    # 1 - 2 * flag is +1 where the flag is False and -1 where it is True.
+    return where(intact, sign * (1 - 2 * (u < visibility_error)), 1 - 2 * (u >= 0.5))

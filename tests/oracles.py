@@ -124,6 +124,29 @@ def exact_escape_fraction(K: int, H3: int, m: int) -> Fraction:
     return total
 
 
+def bernoulli_escape(H3: int, eta: float) -> float:
+    """Escape probability when Eve taps each round trip independently with probability eta.
+
+    The simulator's attacker: each of the H3 path decoys is tapped with
+    probability eta and a tapped decoy then errs with probability 1/2, so
+    a decoy errs with probability eta/2, independently of the others, and
+    the attack escapes with probability (1 - eta/2)^H3.  ``overhead``
+    models a different attacker, who taps a fixed subset of m slots.
+    """
+    return (1.0 - eta / 2.0) ** H3
+
+
+def bernstein_halfwidth(n: int, p: float, alpha: float) -> float:
+    """Smallest t with P(|p_hat - p| >= t) <= alpha for the mean of n Bernoulli(p) draws.
+
+    The Bernstein inequality, which needs no normal approximation:
+    solves n t^2 = L (2 p (1 - p) + 2 t / 3) with L = ln(2 / alpha).
+    """
+    L = math.log(2.0 / alpha)
+    b = 2.0 * L / 3.0
+    return (b + math.sqrt(b * b + 8.0 * n * L * p * (1.0 - p))) / (2.0 * n)
+
+
 def subset_escape_montecarlo(
     K: int, H3: int, m: int, trials: int, seed: int
 ) -> tuple[float, float]:
@@ -259,15 +282,15 @@ def type1_slot_reference(cycle, sender, receiver, payload_bit, channel, eve, str
     the payload's transmission, then the dummy return: its basis and bit
     from the measurement stream and its transmission.
     """
-    path_hit = decide_intercept(eve.config.path_rate, streams.eve)
-    msg_hit = decide_intercept(eve.config.message_rate, streams.eve)
+    path_hit = decide_intercept(eve.config.path_rate, streams.eve.random())
+    msg_hit = decide_intercept(eve.config.message_rate, streams.eve.random())
     if path_hit:
         intercept_path(eve.ledger, cycle, sender, receiver)
     if msg_hit:
-        eve_bit, eve_z = intercept_message(payload_bit, True, streams.eve)
+        eve_bit, eve_z = intercept_message(payload_bit, True, streams.eve.random)
         eve.ledger.learned_bits.append((cycle, eve_bit, eve_z))
-    delivered = transmit(channel.T, streams.channel)
+    delivered = transmit(channel.T, streams.channel.random())
     streams.measurement.random()
     streams.measurement.random()
-    transmit(channel.T, streams.channel)
+    transmit(channel.T, streams.channel.random())
     return delivered, path_hit

@@ -19,15 +19,14 @@ import oracles
 
 
 def test_decide_intercept_extremes():
-    rng = np.random.default_rng(0)
-    assert not any(decide_intercept(0.0, rng) for _ in range(1000))
-    assert all(decide_intercept(1.0, rng) for _ in range(1000))
+    u = np.random.default_rng(0).random(1000)
+    assert not np.any(decide_intercept(0.0, u))
+    assert np.all(decide_intercept(1.0, u))
 
 
 def test_decide_intercept_rate():
     n = 100_000
-    rng = np.random.default_rng(1)
-    hits = sum(decide_intercept(0.3, rng) for _ in range(n))
+    hits = np.count_nonzero(decide_intercept(0.3, np.random.default_rng(1).random(n)))
     assert hits / n == pytest.approx(0.3, abs=oracles.binomial_tolerance(0.3, n))
 
 
@@ -43,7 +42,7 @@ def test_decide_intercept_rejects_bad_rate():
 def test_matching_basis_interception_is_transparent():
     rng = np.random.default_rng(2)
     for _ in range(400):
-        eve_bit, eve_z = intercept_message(0, True, rng)
+        eve_bit, eve_z = intercept_message(0, True, rng.random)
         if eve_z:
             assert eve_bit == 0
 
@@ -51,7 +50,7 @@ def test_matching_basis_interception_is_transparent():
 def test_cross_basis_interception_randomizes():
     rng = np.random.default_rng(3)
     cross_bits = [
-        bit for _ in range(20_000) for bit, z in [intercept_message(0, True, rng)] if not z
+        bit for _ in range(20_000) for bit, z in [intercept_message(0, True, rng.random)] if not z
     ]
     assert len(cross_bits) > 9000
     frequency = sum(cross_bits) / len(cross_bits)
@@ -69,20 +68,20 @@ def test_downstream_error_rate_matches_enumeration_oracle():
     for i in range(n):
         z = bool(i % 2)
         bit = (i // 2) % 2
-        resent = intercept_message(bit, z, rng)
-        errors += measure_qubit(*resent, z, 0.0, rng) != bit
+        resent = intercept_message(bit, z, rng.random)
+        errors += measure_qubit(*resent, z, 0.0, rng.random(), rng.random()) != bit
     assert errors / n == pytest.approx(expected, abs=oracles.binomial_tolerance(expected, n))
 
 
 def test_path_interception_collapses_superposition():
     rng = np.random.default_rng(5)
-    sign, _ = prepare_path_packet(rng)
+    sign, _ = prepare_path_packet(*rng.random(3))
     ledger = EveLedger()
     intercept_path(ledger, 3, 0, 1)
     assert ledger.learned_endpoints == [(3, 0, 1)]
     # The slot runner reads a packet whose mode Eve measured as not intact.
     n = 50_000
-    wrong = sum(interfere_path_packet(sign, False, 0.0, rng) != sign for _ in range(n))
+    wrong = np.count_nonzero(interfere_path_packet(sign, False, 0.0, rng.random(n)) != sign)
     assert wrong / n == pytest.approx(0.5, abs=oracles.binomial_tolerance(0.5, n))
 
 

@@ -208,6 +208,30 @@ def test_alpha_validates():
         alpha_for(0.01, 1.0)
 
 
+@pytest.mark.parametrize(
+    "size, argument",
+    [
+        (lambda: alpha_for(0.01, 1e-308), "eta_max"),
+        (lambda: alpha_for(5e-324, 0.1), "epsilon"),
+        (lambda: beta_for(5e-324, 0.1), "epsilon"),
+        (lambda: required_overhead(1000, 5e-324, 0.1), "epsilon"),
+        (lambda: required_overhead(1000, 0.01, 1e-308), "eta_max"),
+        # The factor 4 of BB84 detection overflows where the factor 2 does not.
+        (lambda: beta_for(1e-26, 1e-306, bb84_detection=True), "eta_max"),
+    ],
+    ids=["alpha-eta", "alpha-epsilon", "beta-epsilon", "report-epsilon", "report-eta",
+         "beta-bb84-eta"],
+)
+def test_sizing_rejects_an_overflowing_count_by_name(size, argument):
+    with pytest.raises(ValueError, match=f"^{argument} is too small"):
+        size()
+
+
+def test_sizing_at_the_edge_of_overflow_stays_finite():
+    # beta_for(1e-26, 1e-306, bb84_detection=True) overflows; its factor-2 count does not.
+    assert beta_for(1e-26, 1e-306) == alpha_for(1e-26, 1e-306) > 10**308
+
+
 def test_beta_variants():
     assert beta_for(0.01, 0.1) == alpha_for(0.01, 0.1)
     assert beta_for(0.01, 0.1, bb84_detection=True) == math.ceil(40.0 * math.log(100.0))

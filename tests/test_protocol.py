@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from decoyroute import protocol, seeding
-from decoyroute.adversary import AttackConfig, AttackMode, Eavesdropper
+from decoyroute.adversary import AttackConfig, AttackMode, Eavesdropper, decide_intercept
 from decoyroute.analysis import baseline_disturbance
 from decoyroute.channel import ChannelModel
 from decoyroute.protocol import (
@@ -25,6 +25,32 @@ NO_LOSS = ChannelModel(T=1.0, gamma=0.0, mu=0.0)
 
 def make_streams(seed: int) -> Streams:
     return Streams.from_seed(seed)
+
+
+def run_decoy_slots(type2, channel, attack, n, seed, streams=None):
+    """``n`` decoys of one type, one slot at a time as the per-slot loop runs them.
+
+    Eve's mode decision comes first, then the runner; returns the tallies,
+    each slot's error and Eve's ledger.
+    """
+    eve = Eavesdropper(attack)
+    streams = streams or make_streams(seed)
+    stats = DisturbanceStats()
+    errors = []
+    for i in range(n):
+        path_hit = decide_intercept(attack.path_rate, streams.eve.random())
+        if path_hit:
+            eve.ledger.learned_endpoints.append((2 * i, 0, 1))
+        if type2:
+            error = run_type2_slot(2 * i, bool(i % 2), channel, eve, streams)
+            stats.type2_trials += 1
+            stats.type2_errors += error
+        else:
+            error = run_type3_slot(2 * i, path_hit, channel, eve, streams)
+            stats.type3_trials += 1
+            stats.type3_errors += error
+        errors.append(error)
+    return stats, errors, eve.ledger
 
 
 class TestGenerateSchedule:
@@ -146,12 +172,7 @@ class TestType1Slot:
 
 class TestType2Slot:
     def run_many(self, channel, attack, n=100_000, seed=0):
-        eve = Eavesdropper(attack)
-        streams = make_streams(seed)
-        stats = DisturbanceStats()
-        for i in range(n):
-            run_type2_slot(2 * i, 0, 1, bool(i % 2), channel, eve, streams, stats)
-        return stats
+        return run_decoy_slots(True, channel, attack, n, seed)[0]
 
     def test_noiseless_no_eve_error_free(self):
         stats = self.run_many(NO_LOSS, AttackConfig(), n=5000)
@@ -180,12 +201,7 @@ class TestType2Slot:
 
 class TestType3Slot:
     def run_many(self, channel, attack, n=50_000, seed=0):
-        eve = Eavesdropper(attack)
-        streams = make_streams(seed)
-        stats = DisturbanceStats()
-        for i in range(n):
-            run_type3_slot(2 * i, 0, 1, channel, eve, streams, stats)
-        return stats
+        return run_decoy_slots(False, channel, attack, n, seed)[0]
 
     def test_noiseless_no_eve_error_free(self):
         stats = self.run_many(NO_LOSS, AttackConfig(), n=5000)
@@ -359,18 +375,15 @@ def test_runners_on_block_draws_match_raw_generators(slot_type):
     raw = Streams(**{name: seeding.stream_rng(41, name) for name in STREAM_NAMES})
     runs = []
     for streams in (raw, Streams.from_seed(41)):
-        eve = Eavesdropper(attack)
-        stats = DisturbanceStats()
-        results = []
-        for i in range(3000):
-            if slot_type == 1:
-                results.append(run_type1_slot(2 * i, 0, 1, i % 2, channel, eve, streams))
-            elif slot_type == 2:
-                z = bool(i % 3)
-                results.append(run_type2_slot(2 * i, 0, 1, z, channel, eve, streams, stats))
-            else:
-                results.append(run_type3_slot(2 * i, 0, 1, channel, eve, streams, stats))
-        runs.append((results, stats, eve.ledger))
+        if slot_type == 1:
+            eve = Eavesdropper(attack)
+            results = [
+                run_type1_slot(2 * i, 0, 1, i % 2, channel, eve, streams) for i in range(3000)
+            ]
+            runs.append((results, DisturbanceStats(), eve.ledger))
+        else:
+            stats, results, ledger = run_decoy_slots(slot_type == 2, channel, attack, 3000, 41, streams)
+            runs.append((results, stats, ledger))
     assert runs[0] == runs[1]
     results, stats, ledger = runs[0]
     # Losses, noise and both attack kinds all fired, so every draw mattered.
@@ -467,7 +480,11 @@ def test_payload_packing_and_learned_fraction_match_greedy_oracle(seed):
 
 
 def test_type3_errors_only_ever_increment_trials_once():
-    stats = DisturbanceStats()
-    eve = Eavesdropper(AttackConfig())
-    run_type3_slot(0, 0, 1, NO_LOSS, eve, make_streams(0), stats)
-    assert (stats.type3_trials, stats.type2_trials) == (1, 0)
+    # One path decoy, through the chunk engine (eta_msg = 0) and the per-slot loop.
+    for eta_msg in (0.0, 0.5):
+        result = run_simulation(
+            K=2, h2_per_pair=0, h3_per_pair=1, channel=NO_LOSS, seed=0,
+            attack=AttackConfig(mode=AttackMode.MESSAGE, eta_msg=eta_msg),
+        )
+        stats = result.pairs[0].stats
+        assert (stats.type3_trials, stats.type2_trials) == (1, 0)

@@ -19,22 +19,22 @@ def basis_id(value):
 
 @pytest.mark.parametrize(("basis", "bit"), ALL_PREPS, ids=basis_id)
 def test_same_basis_noiseless_is_error_free(basis, bit):
-    rng = np.random.default_rng(0)
+    u = np.random.default_rng(0).random(200)
     z = basis == "Z"
-    assert all(measure_qubit(bit, z, z, 0.0, rng) == bit for _ in range(200))
+    assert np.all(measure_qubit(bit, z, z, 0.0, u, u) == bit)
 
 
 def test_cross_basis_outcome_is_uniform():
     n = 100_000
     rng = np.random.default_rng(1)
-    ones = sum(measure_qubit(0, True, False, 0.0, rng) for _ in range(n))
+    ones = np.count_nonzero(measure_qubit(0, True, False, 0.0, *rng.random((2, n))))
     assert ones / n == pytest.approx(0.5, abs=oracles.binomial_tolerance(0.5, n))
 
 
 def test_same_basis_flip_probability():
     n = 100_000
-    rng = np.random.default_rng(2)
-    wrong = sum(measure_qubit(1, False, False, 0.01, rng) != 1 for _ in range(n))
+    u = np.random.default_rng(2).random(n)
+    wrong = np.count_nonzero(measure_qubit(1, False, False, 0.01, u, u) != 1)
     assert wrong / n == pytest.approx(0.01, abs=oracles.binomial_tolerance(0.01, n, 3))
 
 
@@ -46,7 +46,7 @@ def test_measurement_error_matches_born_oracle(basis, bit, meas_basis):
     rng = np.random.default_rng(zlib.crc32(f"{basis}{bit}{meas_basis}".encode()))
     expected = oracles.measurement_error_probability((basis, bit), meas_basis, 0.0)
     z, meas_z = basis == "Z", meas_basis == "Z"
-    wrong = sum(measure_qubit(bit, z, meas_z, 0.0, rng) != bit for _ in range(n))
+    wrong = np.count_nonzero(measure_qubit(bit, z, meas_z, 0.0, *rng.random((2, n))) != bit)
     tol = oracles.binomial_tolerance(max(expected, 1e-9), n) if 0 < expected < 1 else 0.0
     assert wrong / n == pytest.approx(expected, abs=max(tol, 1e-12))
 
@@ -61,17 +61,17 @@ def test_measurement_is_deterministic_given_seed():
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(99)
-        runs.append([measure_qubit(0, True, False, 0.3, rng) for _ in range(500)])
+        runs.append([measure_qubit(0, True, False, 0.3, rng.random(), rng.random()) for _ in range(500)])
     assert runs[0] == runs[1]
 
 
 def test_path_packet_field_passthrough():
-    # Sign, then the dummy's basis, then its bit: one draw each.
-    sign, (bit, z) = prepare_path_packet(np.random.default_rng(3))
-    draws = np.random.default_rng(3).random(3)
-    assert sign == (1 if draws[0] < 0.5 else -1)
-    assert z is bool(draws[1] < 0.5)
-    assert bit == int(draws[2] < 0.5)
+    # Sign, then the dummy's basis, then its bit: one uniform each.
+    for draws in np.random.default_rng(3).random((20, 3)).tolist():
+        sign, (bit, z) = prepare_path_packet(*draws)
+        assert sign == (1 if draws[0] < 0.5 else -1)
+        assert z is (draws[1] < 0.5)
+        assert bit == (draws[2] < 0.5)
 
 
 def test_path_packet_rejects_local_loop():
@@ -85,20 +85,17 @@ def test_path_packet_rejects_local_loop():
 
 def test_path_packet_sign_and_dummy_are_uniform():
     n = 100_000
-    rng = np.random.default_rng(4)
-    plus = z_basis = 0
-    for _ in range(n):
-        sign, (_, z) = prepare_path_packet(rng)
-        plus += sign == 1
-        z_basis += z
+    sign, (_, z) = prepare_path_packet(*np.random.default_rng(4).random((3, n)))
+    plus = np.count_nonzero(sign == 1)
+    z_basis = np.count_nonzero(z)
     tol = oracles.binomial_tolerance(0.5, n)
     assert plus / n == pytest.approx(0.5, abs=tol)
     assert z_basis / n == pytest.approx(0.5, abs=tol)
 
 
 def test_interfere_intact_noiseless_is_exact():
-    rng = np.random.default_rng(5)
-    assert all(interfere_path_packet(1, True, 0.0, rng) == 1 for _ in range(200))
+    u = np.random.default_rng(5).random(200)
+    assert np.all(interfere_path_packet(1, True, 0.0, u) == 1)
 
 
 @pytest.mark.parametrize(
@@ -115,10 +112,10 @@ def test_interfere_intact_noiseless_is_exact():
 def test_interfere_error_rate_table(survived, collapsed, gamma):
     # Error probability is gamma for an intact delivered packet, else 1/2.
     n = 50_000
-    rng = np.random.default_rng(hash((survived, collapsed, gamma)) % 2**32)
+    u = np.random.default_rng(hash((survived, collapsed, gamma)) % 2**32).random(n)
     intact = survived and not collapsed
     expected = gamma if intact else 0.5
-    wrong = sum(interfere_path_packet(-1, intact, gamma, rng) != -1 for _ in range(n))
+    wrong = np.count_nonzero(interfere_path_packet(-1, intact, gamma, u) != -1)
     tol = oracles.binomial_tolerance(expected, n) if expected else 0.0
     assert wrong / n == pytest.approx(expected, abs=max(tol, 1e-12))
 
@@ -126,17 +123,17 @@ def test_interfere_error_rate_table(survived, collapsed, gamma):
 def test_collapsed_packet_matches_dephased_oracle():
     # A collapsed packet that survived both legs is read out as not intact.
     n = 100_000
-    rng = np.random.default_rng(6)
+    u = np.random.default_rng(6).random(n)
     expected = oracles.dephased_port_flip_probability()
-    wrong = sum(interfere_path_packet(1, False, 0.0, rng) != 1 for _ in range(n))
+    wrong = np.count_nonzero(interfere_path_packet(1, False, 0.0, u) != 1)
     assert expected == pytest.approx(0.5, abs=1e-15)
     assert wrong / n == pytest.approx(expected, abs=oracles.binomial_tolerance(expected, n))
 
 
 def test_lost_packet_gives_uniform_result():
     n = 50_000
-    rng = np.random.default_rng(7)
-    minus = sum(interfere_path_packet(-1, False, 0.3, rng) == -1 for _ in range(n))
+    u = np.random.default_rng(7).random(n)
+    minus = np.count_nonzero(interfere_path_packet(-1, False, 0.3, u) == -1)
     assert minus / n == pytest.approx(0.5, abs=oracles.binomial_tolerance(0.5, n))
 
 
