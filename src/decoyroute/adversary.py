@@ -27,6 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .errors import InputError, check_at_least, check_in
 from .quantum import measure_qubit
 
 
@@ -54,11 +55,9 @@ class AttackConfig:
 
     def __post_init__(self) -> None:
         if not isinstance(self.mode, AttackMode):
-            raise ValueError(f"mode must be an AttackMode, got {self.mode!r}")
+            raise InputError("mode", f"must be an AttackMode, got {self.mode!r}")
         for name in ("eta_path", "eta_msg"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+            check_in(name, getattr(self, name), 0, 1)
 
     @cached_property
     def path_rate(self) -> float:
@@ -128,8 +127,6 @@ def intercept_path(ledger: EveLedger, cycle: int, sender: int, receiver: int) ->
 
 def learned_traffic_fraction(learned: int, total: int) -> float:
     """Fraction of ``total`` payload round trips whose endpoints Eve learned."""
-    if total <= 0:
-        raise ValueError(f"total must be positive, got {total}")
-    if not 0 <= learned <= total:
-        raise ValueError(f"learned must be in [0, {total}], got {learned}")
+    check_at_least("total", total, 1)
+    check_in("learned", learned, 0, total)
     return learned / total

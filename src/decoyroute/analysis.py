@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import loss_db_to_T
+from .channel import check_link, loss_db_to_T
+from .errors import InputError, check_at_least, check_in
 
 
 class AlreadySaturatedError(ValueError):
@@ -36,8 +37,7 @@ class SecurityPoint:
 
 def binary_entropy(e: float) -> float:
     """Binary entropy in bits, with h(0) = h(1) = 0 by continuity."""
-    if not 0.0 <= e <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {e}")
+    check_in("e", e, 0, 1)
     if e == 0.0 or e == 1.0:
         return 0.0
     return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
@@ -45,16 +45,14 @@ def binary_entropy(e: float) -> float:
 
 def baseline_disturbance(gamma: float, T: float) -> float:
     """Expected path-decoy disturbance with no attacker: gamma*T^2 + (1 - T^2)/2."""
-    _check_unit("gamma", gamma)
-    _check_unit("T", T)
+    check_link(T=T, gamma=gamma)
     t2 = T * T
     return gamma * t2 + (1.0 - t2) / 2.0
 
 
 def message_error(mu: float, T: float) -> float:
     """Expected message error with no attacker: mu*T + (1 - T)/2."""
-    _check_unit("mu", mu)
-    _check_unit("T", T)
+    check_link(T=T, mu=mu)
     return mu * T + (1.0 - T) / 2.0
 
 
@@ -65,8 +63,8 @@ def leaked_fraction(D: float, e: float) -> float:
 
 def leaked_fraction_uncapped(D: float, e: float) -> float:
     """The leak expression 2D(1 + h(e)) without the cap at one."""
-    _check_half("D", D)
-    _check_half("e", e)
+    check_in("D", D, 0, 0.5)
+    check_in("e", e, 0, 0.5)
     return _leak(D, e)
 
 
@@ -84,8 +82,20 @@ def _uncapped_point(gamma: float, mu: float, loss_db: float) -> SecurityPoint:
 
 def inferred_eta(D3_hat: float) -> float:
     """Intercepted fraction implied by a path disturbance: min{1, 2*D3_hat}."""
-    _check_half("D3_hat", D3_hat)
+    check_in("D3_hat", D3_hat, 0, 0.5)
     return min(1.0, 2.0 * D3_hat)
+
+
+def check_curve(
+    gamma: float, mu: float, loss_min_db: float, loss_max_db: float, steps: int
+) -> None:
+    """The rules of :func:`security_curve`'s arguments, checked before any point is computed."""
+    check_link(gamma=gamma, mu=mu)
+    if not 0 <= loss_min_db < math.inf:
+        raise InputError("loss_min_db", f"must be finite and >= 0, got {loss_min_db}")
+    if not loss_min_db <= loss_max_db < math.inf:
+        raise InputError("loss_max_db", f"must be finite and >= {loss_min_db}, got {loss_max_db}")
+    check_at_least("steps", steps, 2)
 
 
 def security_curve(
@@ -96,13 +106,7 @@ def security_curve(
     steps: int,
 ) -> list[SecurityPoint]:
     """Leak curve over an evenly spaced loss grid (capped g per point)."""
-    for name, value in (("loss_min_db", loss_min_db), ("loss_max_db", loss_max_db)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if loss_min_db > loss_max_db:
-        raise ValueError(f"loss_min_db {loss_min_db} exceeds loss_max_db {loss_max_db}")
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
+    check_curve(gamma, mu, loss_min_db, loss_max_db, steps)
     points = []
     for loss_db in np.linspace(loss_min_db, loss_max_db, steps):
         point = _uncapped_point(gamma, mu, float(loss_db))
@@ -118,8 +122,8 @@ def loss_threshold(gamma: float, mu: float, tol: float = 0.01) -> float:
     :class:`AlreadySaturatedError` when the leak is already >= 1 with no
     loss at all (that needs gamma >= ~0.5).
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not tol > 0:
+        raise InputError("tol", f"must be positive, got {tol}")
 
     def uncapped(loss_db: float) -> float:
         return _uncapped_point(gamma, mu, loss_db).g
@@ -141,12 +145,3 @@ def loss_threshold(gamma: float, mu: float, tol: float = 0.01) -> float:
             hi = mid
     return (lo + hi) / 2.0
 
-
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-
-def _check_half(name: str, value: float) -> None:
-    if not 0.0 <= value <= 0.5:
-        raise ValueError(f"{name} must be in [0, 0.5], got {value}")

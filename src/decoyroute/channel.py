@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import check_at_least, check_in
+
 
 @dataclass(frozen=True)
 class ChannelModel:
@@ -21,20 +23,22 @@ class ChannelModel:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("T", "gamma", "mu"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        check_link(self.T, self.gamma, self.mu)
 
     @classmethod
     def from_loss_db(cls, loss_db: float, gamma: float = 0.0, mu: float = 0.0) -> "ChannelModel":
         return cls(T=loss_db_to_T(loss_db), gamma=gamma, mu=mu)
 
 
+def check_link(T: float = 1.0, gamma: float = 0.0, mu: float = 0.0) -> None:
+    """The rule of every link parameter: each of ``T``, ``gamma`` and ``mu`` lies in [0, 1]."""
+    for name, value in (("T", T), ("gamma", gamma), ("mu", mu)):
+        check_in(name, value, 0, 1)
+
+
 def loss_db_to_T(loss_db: float) -> float:
     """Convert a channel loss in dB to a survival probability T = 10^(-dB/10)."""
-    if loss_db < 0:
-        raise ValueError(f"loss_db must be non-negative, got {loss_db}")
+    check_at_least("loss_db", loss_db, 0)
     return 10.0 ** (-loss_db / 10.0)
 
 

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import sys
 import traceback
 from pathlib import Path
 from typing import IO
 
 from . import analysis, constraints, overhead
-from .config import DEFAULT_SEED, KEYS, ConfigError, RunConfig, layer
+from .config import DEFAULT_SEED, KEYS, ConfigError, RunConfig, layer, library_checks
 from .protocol import run_simulation
 
 EXIT_OK = 0
@@ -56,18 +55,11 @@ def _row(*cells) -> str:
 
 
 def cmd_figure2(args: argparse.Namespace, out: IO[str]) -> int:
-    if not 0 <= args.loss_min < math.inf:
-        raise ConfigError("loss_min", f"must be finite and >= 0, got {args.loss_min}")
-    if not args.loss_min <= args.loss_max < math.inf:
-        raise ConfigError(
-            "loss_max", f"must be finite and >= loss-min {args.loss_min}, got {args.loss_max}"
-        )
-    if args.steps < 2:
-        raise ConfigError("steps", f"must be >= 2, got {args.steps}")
     values = layer("figure2", DEFAULTS["figure2"], args.config, vars(args))
-    points = analysis.security_curve(
-        values["gamma"], values["mu"], args.loss_min, args.loss_max, args.steps
-    )
+    curve = (values["gamma"], values["mu"], args.loss_min, args.loss_max, args.steps)
+    with library_checks():
+        analysis.check_curve(*curve)
+    points = analysis.security_curve(*curve)
     lines = ["loss_db,T,D,e,h_e,g"]
     for p in points:
         lines.append(_row(p.loss_db, p.T, p.D, p.e, p.h_e, p.g))
@@ -96,29 +88,13 @@ def cmd_simulate(args: argparse.Namespace, out: IO[str]) -> int:
         "eve_learned_fraction,detected"
     ]
     for pair in result.pairs:
-        lines.append(
-            _row(
-                f"{pair.sender}-{pair.receiver}",
-                pair.stats.type2_trials,
-                pair.stats.type2_errors,
-                pair.stats.d2_hat,
-                pair.stats.type3_trials,
-                pair.stats.type3_errors,
-                pair.stats.d3_hat,
-                pair.eve_learned_fraction,
-                pair.detected,
-            )
-        )
-    lines.append("")
-    lines.append("detected,inferred_eta,leaked_fraction_bound,actual_learned_fraction")
-    lines.append(
-        _row(
-            result.detected,
-            result.inferred_eta,
-            result.leaked_fraction_bound,
-            result.actual_learned_fraction,
-        )
-    )
+        stats = pair.stats
+        type2 = (stats.type2_trials, stats.type2_errors, stats.d2_hat)
+        type3 = (stats.type3_trials, stats.type3_errors, stats.d3_hat)
+        pair_label = f"{pair.sender}-{pair.receiver}"
+        lines.append(_row(pair_label, *type2, *type3, pair.eve_learned_fraction, pair.detected))
+    summary = ("detected", "inferred_eta", "leaked_fraction_bound", "actual_learned_fraction")
+    lines += ["", ",".join(summary), _row(*(getattr(result, name) for name in summary))]
     out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -126,9 +102,6 @@ def cmd_simulate(args: argparse.Namespace, out: IO[str]) -> int:
 def cmd_overhead(args: argparse.Namespace, out: IO[str]) -> int:
     values = layer("overhead", DEFAULTS["overhead"], args.config, vars(args))
     K, H3, trials, seed = values["K"], values["H3"], values["trials"], values["seed"]
-    if K < 2:
-        raise ConfigError("K", f"must be >= 2, got {K}")
-
     if args.m is not None and args.eta is not None:
         raise ConfigError("m", "give either --m or --eta, not both")
     if args.eta is not None:
@@ -137,21 +110,9 @@ def cmd_overhead(args: argparse.Namespace, out: IO[str]) -> int:
         m = round(args.eta * K)
     else:
         m = args.m if args.m is not None else round(0.2 * K)
-    if not 0 <= m <= K:
-        raise ConfigError("m", f"must be in [0, K], got {m}")
-    if H3 > K:
-        raise ConfigError("H3", f"must be in [0, K], got {H3}")
-    if H3 and m and max(H3, K - H3) >= overhead.MC_POPULATION_LIMIT:
-        raise ConfigError("K", f"must keep H3 and K - H3 below 1e9, got {K}")
-    for name in ("epsilon", "eta_max"):
-        if not 0.0 < getattr(args, name) < 1.0:
-            raise ConfigError(name, f"must be in (0, 1), got {getattr(args, name)}")
-    # The decoy counts round (2 / eta_max) ln(1 / epsilon) up to an int.
-    log_term = math.log(1.0 / args.epsilon)
-    for name, scale in (("epsilon", log_term), ("eta_max", 2.0 / args.eta_max * log_term)):
-        if not math.isfinite(scale):
-            value = getattr(args, name)
-            raise ConfigError(name, f"too small: the decoy count overflows, got {value}")
+    with library_checks():
+        overhead.check_overhead(K, args.epsilon, args.eta_max)
+        overhead.check_escape(K, H3, m, trials)
 
     exact = overhead.exact_escape_prob(K, H3, m)
     eta = m / K
@@ -166,13 +127,8 @@ def cmd_overhead(args: argparse.Namespace, out: IO[str]) -> int:
         "",
         "epsilon,eta_max,alpha,beta,g1,H_sum,H_paper_constant",
         _row(
-            report.epsilon,
-            report.eta_max,
-            report.alpha,
-            report.beta,
-            report.g1,
-            report.h_total,
-            report.g0_affine,
+            report.epsilon, report.eta_max, report.alpha, report.beta, report.g1,
+            report.h_total, report.g0_affine,
         ),
     ]
     out.write("\n".join(lines) + "\n")
@@ -181,11 +137,8 @@ def cmd_overhead(args: argparse.Namespace, out: IO[str]) -> int:
 
 def cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
     seed = layer("verify", DEFAULTS["verify"], args.config, vars(args))["seed"]
-    if args.dim < 2:
-        raise ConfigError("dim", f"must be >= 2, got {args.dim}")
-    for name in ("samples", "scatter_samples"):
-        if getattr(args, name) < 1:
-            raise ConfigError(name, f"must be >= 1, got {getattr(args, name)}")
+    with library_checks():
+        constraints.check_verification(args.dim, args.samples, args.scatter_samples)
     checks, scatter = constraints.run_verification(
         dim=args.dim,
         samples=args.samples,

@@ -41,6 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_at_least
+
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-12
 _SCATTER_CHUNK = 256  # samples per stacked draw and QR
@@ -172,10 +174,8 @@ def tradeoff_scatter(
     """Disturbance/indistinguishability pairs for random unconstrained attacks.
 
     Per sample: four unitaries, then a probe; each chunk is one draw, QR and unitarity check."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    check_at_least("samples", samples, 1)
+    check_at_least("d", d, 2)
     rng = np.random.default_rng(seed)
     points = []
     for done in range(0, samples, _SCATTER_CHUNK):
@@ -214,6 +214,13 @@ def swap_unitary() -> np.ndarray:
     return np.eye(4, dtype=complex)[[0, 2, 1, 3]]  # |a b> -> |b a>
 
 
+def check_verification(dim: int, samples: int, scatter_samples: int) -> None:
+    """The rules of :func:`run_verification`'s sizes, named as it names them."""
+    check_at_least("dim", dim, 2)
+    check_at_least("samples", samples, 1)
+    check_at_least("scatter_samples", scatter_samples, 1)
+
+
 def run_verification(
     dim: int = 4,
     samples: int = 100,
@@ -224,12 +231,7 @@ def run_verification(
     """Run every constraint check; ``enforce_return_constraint=False`` is a
     negative-control hook that builds the "constrained" round trips without
     actually satisfying the condition, so the zero-disturbance checks fail."""
-    if dim < 2:
-        raise ValueError(f"dim must be at least 2, got {dim}")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if scatter_samples < 1:
-        raise ValueError(f"scatter_samples must be at least 1, got {scatter_samples}")
+    check_verification(dim, samples, scatter_samples)
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
 

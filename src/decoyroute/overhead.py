@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError, check_at_least, check_in
+
 _LOG_HALF = math.log(0.5)
 _CHUNK = 1 << 16  # Monte-Carlo trials, or log-factorial entries, per step
 # numpy's bound on each population of a hypergeometric draw.
@@ -51,16 +53,14 @@ def _log_factorials(n: int) -> np.ndarray:
 
 def h1_bits(H2: int, H3: int, K: int) -> int:
     """Pre-shared scheduling bits: H2 * (ceil(log2 K) + 1) + H3 * ceil(log2 K)."""
-    if K < 2:
-        raise ValueError(f"K must be at least 2, got {K}")
-    _check_counts(H2, H3)
+    _check_sizes(H2, H3, K)
     width = (K - 1).bit_length()
     return H2 * (width + 1) + H3 * width
 
 
 def h4_bits(H2: int, H3: int) -> int:
     """Post-run reconciliation bits: one measurement outcome per decoy slot."""
-    _check_counts(H2, H3)
+    _check_sizes(H2, H3)
     return H2 + H3
 
 
@@ -85,10 +85,7 @@ def exact_escape_prob(K: int, H3: int, m_intercepted: int) -> float:
     memory are O(n) whatever K is; the relative error against the exact
     rational is below 1e-13 up to K = 1e12 at n = 93.
     """
-    if not 0 <= m_intercepted <= K:
-        raise ValueError(f"m_intercepted must be in [0, K], got {m_intercepted}")
-    if not 0 <= H3 <= K:
-        raise ValueError(f"H3 must be in [0, K], got {H3}")
+    check_escape(K, H3, m_intercepted)
     if H3 == 0 or m_intercepted == 0:
         return 1.0
     n, big = min(H3, m_intercepted), max(H3, m_intercepted)
@@ -113,10 +110,8 @@ def bound_escape_prob(K: int, H3: int, eta: float) -> float:
     May exceed 1 for eta >= 1/2 (the bound goes vacuous there) and is
     reported as-is.
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must be strictly inside (0, 1), got {eta}")
-    if not 0 <= H3 <= K:
-        raise ValueError(f"H3 must be in [0, K], got {H3}")
+    _check_rate("eta", eta)
+    check_escape(K, H3, 0)
     base = (K - H3) / K + H3 / (2.0 * (1.0 - eta) * K)
     return base ** (eta * K)
 
@@ -137,10 +132,8 @@ class EscapeLimit:
 
 def asymptotic_bound(H3: int, eta_max: float) -> EscapeLimit:
     """K -> infinity limit of the escape bound, plus its small-rate relaxation."""
-    if not 0.0 < eta_max < 1.0:
-        raise ValueError(f"eta_max must be strictly inside (0, 1), got {eta_max}")
-    if H3 < 0:
-        raise ValueError(f"H3 must be non-negative, got {H3}")
+    _check_rate("eta_max", eta_max)
+    check_at_least("H3", H3, 0)
     exponent = eta_max * H3 * (1.0 - 2.0 * eta_max) / (2.0 * (1.0 - eta_max))
     return EscapeLimit(limit=math.exp(-exponent), relaxed=math.exp(-eta_max * H3 / 2.0))
 
@@ -190,6 +183,7 @@ class OverheadReport:
 
 def required_overhead(K: int, epsilon: float, eta_max: float) -> OverheadReport:
     """Size the decoy counts and report the total overhead and its decomposition."""
+    check_overhead(K, epsilon, eta_max)
     alpha = alpha_for(epsilon, eta_max)
     beta = beta_for(epsilon, eta_max)
     return OverheadReport(
@@ -215,16 +209,9 @@ def montecarlo_escape(
     trial draws that overlap directly and scores (1/2)^overlap.  Trials run
     in fixed chunks: time is O(trials) and memory O(chunk) for every K.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if not 0 <= m_intercepted <= K:
-        raise ValueError(f"m_intercepted must be in [0, K], got {m_intercepted}")
-    if not 0 <= H3 <= K:
-        raise ValueError(f"H3 must be in [0, K], got {H3}")
+    check_escape(K, H3, m_intercepted, trials)
     if H3 == 0 or m_intercepted == 0:
         return 1.0, 0.0
-    if max(H3, K - H3) >= MC_POPULATION_LIMIT:
-        raise ValueError(f"K must keep H3 and K - H3 below 1e9, got K = {K}")
 
     rng = np.random.default_rng(seed)
     counts = np.zeros(min(H3, m_intercepted) + 1, dtype=np.int64)
@@ -237,9 +224,32 @@ def montecarlo_escape(
     return estimate, math.sqrt(variance / trials)
 
 
-def _check_counts(H2: int, H3: int) -> None:
-    if H2 < 0 or H3 < 0:
-        raise ValueError("slot counts must be non-negative")
+def check_escape(K: int, H3: int, m_intercepted: int, trials: int | None = None) -> None:
+    """The escape functions' rules: ``H3`` and ``m_intercepted`` in [0, K]; with ``trials``,
+    :func:`montecarlo_escape`'s too: a trial at least, populations below numpy's limit."""
+    check_in("H3", H3, 0, K)
+    check_in("m_intercepted", m_intercepted, 0, K)
+    if trials is not None:
+        check_at_least("trials", trials, 1)
+        if H3 and m_intercepted and max(H3, K - H3) >= MC_POPULATION_LIMIT:
+            raise InputError("K", f"must keep H3 and K - H3 below 1e9, got {K}")
+
+
+def check_overhead(K: int, epsilon: float, eta_max: float) -> None:
+    """The rules of :func:`required_overhead`: ``K >= 2`` and a finite decoy count."""
+    _check_sizes(K=K)
+    _check_sizing(epsilon, eta_max, 2.0)
+
+
+def _check_sizes(H2: int = 0, H3: int = 0, K: int = 2) -> None:
+    check_at_least("H2", H2, 0)
+    check_at_least("H3", H3, 0)
+    check_at_least("K", K, 2)  # a scheduled cycle costs ceil(log2 K) bits
+
+
+def _check_rate(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise InputError(name, f"must be strictly inside (0, 1), got {value}")
 
 
 def _check_sizing(epsilon: float, eta_max: float, factor: float) -> float:
@@ -248,14 +258,12 @@ def _check_sizing(epsilon: float, eta_max: float, factor: float) -> float:
     An ``epsilon`` or ``eta_max`` so small that the count is not a finite
     float is rejected by name, before it can overflow the rounding.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be strictly inside (0, 1), got {epsilon}")
-    if not 0.0 < eta_max < 1.0:
-        raise ValueError(f"eta_max must be strictly inside (0, 1), got {eta_max}")
+    _check_rate("epsilon", epsilon)
+    _check_rate("eta_max", eta_max)
     log_term = math.log(1.0 / epsilon)
     if not math.isfinite(log_term):
-        raise ValueError(f"epsilon is too small: the decoy count overflows, got {epsilon}")
+        raise InputError("epsilon", f"is too small: the decoy count overflows, got {epsilon}")
     count = (factor / eta_max) * log_term
     if not math.isfinite(count):
-        raise ValueError(f"eta_max is too small: the decoy count overflows, got {eta_max}")
+        raise InputError("eta_max", f"is too small: the decoy count overflows, got {eta_max}")
     return count

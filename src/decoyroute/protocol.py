@@ -27,12 +27,12 @@ A message attack makes the draw counts depend on the data (Eve's extra
 uniforms per tap, the receiver's extra coin after a mismatched resend), so
 those runs keep the per-slot loop (:func:`_run_pair_by_slot`), which calls
 the same runners with floats; moving them to chunks needs a fixed draw
-layout per slot (ROADMAP items 2 and 9), which changes every seeded
-output.  Both engines give the same results, ledger and CSV bytes for the
-same run.  The payload runner of the per-slot loop
-reads its stream draws inline, but it draws exactly what the kernels
-would; ``tests/oracles.py`` keeps the composed payload slot and the tests
-pin the two to equal draws and results.
+layout per slot (ROADMAP item 2), which changes every seeded output, and
+a benchmark that does not count per-slot runner calls (item 1).  Both
+engines give the same results, ledger and CSV bytes for the same run.  The
+payload runner of the per-slot loop reads its stream draws inline, but it
+draws exactly what the kernels would; ``tests/oracles.py`` keeps the
+composed payload slot and the tests pin the two to equal draws and results.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .adversary import (
 )
 from .analysis import baseline_disturbance, inferred_eta, leaked_fraction, message_error
 from .channel import ChannelModel, transmit
+from .errors import InputError, check_at_least, check_in
 from .quantum import interfere_path_packet, measure_qubit, prepare_path_packet, where
 
 
@@ -187,6 +188,27 @@ def _draw_spaced_cycles(rng: np.random.Generator, K: int, count: int) -> np.ndar
     return base + np.arange(count)
 
 
+def check_schedule(
+    K: int, node_pairs: list[tuple[int, int]], h2_per_pair: int, h3_per_pair: int
+) -> None:
+    """The rules of :func:`generate_schedule`'s arguments, checked before any draw."""
+    check_at_least("K", K, 1)
+    if K >= 2**63:
+        raise InputError("K", f"must be below 2**63 so cycles fit in int64, got {K}")
+    check_at_least("h2_per_pair", h2_per_pair, 0)
+    check_at_least("h3_per_pair", h3_per_pair, 0)
+    total, fit = h2_per_pair + h3_per_pair, max_decoys_per_pair(K)
+    if total > fit:
+        raise InputError("K", f"is over-subscribed: {total} decoys need return cycles, {fit} fit")
+    seen: set[tuple[int, int]] = set()
+    for sender, receiver in node_pairs:
+        if sender == receiver:
+            raise InputError("node_pairs", f"has sender == receiver == {sender}")
+        if (sender, receiver) in seen:
+            raise InputError("node_pairs", f"repeats the pair {sender}-{receiver}")
+        seen.add((sender, receiver))
+
+
 def generate_schedule(
     K: int,
     node_pairs: list[tuple[int, int]],
@@ -198,35 +220,23 @@ def generate_schedule(
 
     Per pair, the decoy cycles are drawn uniformly over the conflict-free
     subsets of [0, K) (no decoy may sit on the return cycle of another),
-    then split between Type 2 (with a uniform basis each) and Type 3.
-    Each pair may appear once; ``(a, b)`` and ``(b, a)`` are distinct pairs.
+    then a uniform ``h2_per_pair`` of them become Type 2 (with a uniform
+    basis each) and the rest Type 3.  Each pair may appear once; ``(a, b)``
+    and ``(b, a)`` are distinct pairs.
     """
-    if K < 1:
-        raise ValueError(f"K must be at least 1, got {K}")
-    if h2_per_pair < 0 or h3_per_pair < 0:
-        raise ValueError("slot counts must be non-negative")
+    check_schedule(K, node_pairs, h2_per_pair, h3_per_pair)
     total = h2_per_pair + h3_per_pair
-    if total > max_decoys_per_pair(K):
-        raise ValueError(
-            f"over-subscribed schedule: {total} decoy slots need return cycles, "
-            f"at most {max_decoys_per_pair(K)} fit in K = {K}"
-        )
-
     assignments: dict[tuple[int, int], PairSchedule] = {}
-    for pair_index, (sender, receiver) in enumerate(node_pairs):
-        if sender == receiver:
-            raise ValueError(f"pair {pair_index} has sender == receiver == {sender}")
-        if (sender, receiver) in assignments:
-            raise ValueError(f"pair {pair_index} repeats the pair {sender}-{receiver}")
+    for pair_index, pair in enumerate(node_pairs):
         rng = np.random.default_rng(np.random.SeedSequence((shared_seed, pair_index)))
-        cycles = rng.permutation(_draw_spaced_cycles(rng, K, total))
-        type2 = np.arange(total) < h2_per_pair
+        cycles = _draw_spaced_cycles(rng, K, total)
+        # A uniform h2-subset of the decoys: the first h2 entries of a permutation.
+        chosen = rng.permutation(total)[:h2_per_pair]
+        type2 = np.zeros(total, dtype=bool)
+        type2[chosen] = True
         z_basis = np.zeros(total, dtype=bool)
-        z_basis[:h2_per_pair] = rng.random(h2_per_pair) < 0.5
-        order = np.argsort(cycles)
-        assignments[(sender, receiver)] = PairSchedule(
-            cycles[order], type2[order], z_basis[order]
-        )
+        z_basis[chosen] = rng.random(h2_per_pair) < 0.5
+        assignments[pair] = PairSchedule(cycles, type2, z_basis)
     return Schedule(K=K, assignments=assignments, shared_seed=shared_seed)
 
 
@@ -339,26 +349,29 @@ def detect_eavesdropper(
 ) -> bool:
     """Flag an eavesdropper when either defined disturbance exceeds its threshold.
 
-    The thresholds are taken unchecked; :func:`run_simulation` checks them
-    once, on entry.
+    The thresholds are taken unchecked; :func:`check_simulation` checks
+    them once, when the run starts.
     """
     exceeded2 = d2_hat is not None and d2_hat > threshold2
     exceeded3 = d3_hat is not None and d3_hat > threshold3
     return bool(exceeded2 or exceeded3)
 
 
+THRESHOLD_SIGMAS = 5.0  # binomial standard errors above the baseline
+
+
 def default_thresholds(
-    channel: ChannelModel, type2_trials: int, type3_trials: int, n_sigma: float = 5.0
+    channel: ChannelModel, type2_trials: int, type3_trials: int
 ) -> tuple[float, float]:
-    """Baseline expectation plus ``n_sigma`` binomial standard errors, capped at 0.5."""
+    """Baseline expectation plus ``THRESHOLD_SIGMAS`` binomial standard errors, capped at 0.5."""
     e = message_error(channel.mu, channel.T)
     d = baseline_disturbance(channel.gamma, channel.T)
     th2 = e
     if type2_trials > 0:
-        th2 += n_sigma * math.sqrt(e * (1.0 - e) / type2_trials)
+        th2 += THRESHOLD_SIGMAS * math.sqrt(e * (1.0 - e) / type2_trials)
     th3 = d
     if type3_trials > 0:
-        th3 += n_sigma * math.sqrt(d * (1.0 - d) / type3_trials)
+        th3 += THRESHOLD_SIGMAS * math.sqrt(d * (1.0 - d) / type3_trials)
     return min(0.5, th2), min(0.5, th3)
 
 
@@ -553,6 +566,19 @@ class SimulationResult:
     actual_learned_fraction: float | None
 
 
+def check_simulation(
+    K: int, node_pairs: list[tuple[int, int]], h2_per_pair: int, h3_per_pair: int,
+    traffic: str, threshold2: float | None, threshold3: float | None,
+) -> None:
+    """The rules of :func:`run_simulation`'s arguments; channel and attack check their own."""
+    check_schedule(K, node_pairs, h2_per_pair, h3_per_pair)
+    if traffic not in ("full", "silent"):
+        raise InputError("traffic", f"must be 'full' or 'silent', got {traffic!r}")
+    for name, threshold in (("threshold2", threshold2), ("threshold3", threshold3)):
+        if threshold is not None:
+            check_in(name, threshold, 0, 0.5)
+
+
 def run_simulation(
     *,
     K: int,
@@ -575,13 +601,9 @@ def run_simulation(
     reports the fraction of payload endpoints actually present in the
     eavesdropper's ledger for comparison.
     """
-    if traffic not in ("full", "silent"):
-        raise ValueError(f"traffic must be 'full' or 'silent', got {traffic}")
-    for name, threshold in (("threshold2", threshold2), ("threshold3", threshold3)):
-        if threshold is not None and not 0.0 <= threshold <= 0.5:
-            raise ValueError(f"{name} must be in [0, 0.5], got {threshold}")
     if node_pairs is None:
         node_pairs = [(0, 1)]
+    check_simulation(K, node_pairs, h2_per_pair, h3_per_pair, traffic, threshold2, threshold3)
     attack = attack or AttackConfig()
 
     shared_seed = seeding.child_seed(seed, "schedule")
@@ -597,22 +619,14 @@ def run_simulation(
     run_pair = _run_pair_by_slot if attack.message_rate > 0 else _run_pair_by_chunk
     pair_results: list[PairResult] = []
     for pair_index, (sender, receiver) in enumerate(node_pairs):
-        stats, type1_slots, type1_delivered, learned_type1 = run_pair(
+        tally = run_pair(
             K, sender, receiver, schedule.for_pair(sender, receiver),
             channel, eve, seed, pair_index, traffic,
         )
+        stats = tally[0]
         detected = detect_eavesdropper(stats.d2_hat, stats.d3_hat, threshold2, threshold3)
-        pair_results.append(
-            PairResult(
-                sender=sender,
-                receiver=receiver,
-                stats=stats,
-                type1_slots=type1_slots,
-                type1_delivered=type1_delivered,
-                eve_learned_type1=learned_type1,
-                detected=detected,
-            )
-        )
+        # The tally holds PairResult's fields between the endpoints and the verdict.
+        pair_results.append(PairResult(sender, receiver, *tally, detected))
 
     pooled2_trials = sum(p.stats.type2_trials for p in pair_results)
     pooled2_errors = sum(p.stats.type2_errors for p in pair_results)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_at_least
+
 STREAM_IDS = {
     "schedule": 0,
     "channel": 1,
@@ -19,19 +21,17 @@ STREAM_IDS = {
 }
 
 
+def _sequence(root_seed: int, stream: str, index: int) -> np.random.SeedSequence:
+    check_at_least("root_seed", root_seed, 0)
+    return np.random.SeedSequence((root_seed, STREAM_IDS[stream], index))
+
+
 def child_seed(root_seed: int, stream: str, index: int = 0) -> int:
     """Derive a stable 64-bit child seed for a named stream (and sub-index)."""
-    if root_seed < 0:
-        raise ValueError(f"root seed must be non-negative, got {root_seed}")
-    words = np.random.SeedSequence(
-        (root_seed, STREAM_IDS[stream], index)
-    ).generate_state(2)
+    words = _sequence(root_seed, stream, index).generate_state(2)
     return int(words[0]) | (int(words[1]) << 32)
 
 
 def stream_rng(root_seed: int, stream: str, index: int = 0) -> np.random.Generator:
     """Generator for the given subsystem stream of ``root_seed``."""
-    if root_seed < 0:
-        raise ValueError(f"root seed must be non-negative, got {root_seed}")
-    seq = np.random.SeedSequence((root_seed, STREAM_IDS[stream], index))
-    return np.random.default_rng(seq)
+    return np.random.default_rng(_sequence(root_seed, stream, index))
