@@ -22,22 +22,14 @@ from pathlib import Path
 from typing import IO
 
 from . import analysis, constraints, overhead
-from .config import DEFAULT_SEED, KEYS, ConfigError, RunConfig, layer, library_checks
+from .config import DEFAULTS, ConfigError, RunConfig, layer, library_checks
+from .errors import check_in
 from .protocol import run_simulation
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
-
-# The config keys each subcommand reads, with their defaults; simulate reads
-# the fields of RunConfig.
-DEFAULTS = {
-    "figure2": {"gamma": 0.01, "mu": 0.01},
-    "overhead": {"K": 100, "H3": 20, "trials": 100_000, "seed": DEFAULT_SEED},
-    "verify": {"seed": DEFAULT_SEED},
-}
-
 
 def fmt(value) -> str:
     """CSV cell formatting: 9 significant digits, lowercase booleans, nan for undefined."""
@@ -55,8 +47,8 @@ def _row(*cells) -> str:
 
 
 def cmd_figure2(args: argparse.Namespace, out: IO[str]) -> int:
-    values = layer("figure2", DEFAULTS["figure2"], args.config, vars(args))
-    curve = (values["gamma"], values["mu"], args.loss_min, args.loss_max, args.steps)
+    values = layer("figure2", args.config, vars(args))
+    curve = tuple(values[key] for key in ("gamma", "mu", "loss_min", "loss_max", "steps"))
     with library_checks():
         analysis.check_curve(*curve)
     points = analysis.security_curve(*curve)
@@ -100,26 +92,25 @@ def cmd_simulate(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_overhead(args: argparse.Namespace, out: IO[str]) -> int:
-    values = layer("overhead", DEFAULTS["overhead"], args.config, vars(args))
-    K, H3, trials, seed = values["K"], values["H3"], values["trials"], values["seed"]
-    if args.m is not None and args.eta is not None:
+    values = layer("overhead", args.config, vars(args))
+    K, H3, m, eta, trials = (values[key] for key in ("K", "H3", "m", "eta", "trials"))
+    epsilon, eta_max = values["epsilon"], values["eta_max"]
+    if m is not None and eta is not None:
         raise ConfigError("m", "give either --m or --eta, not both")
-    if args.eta is not None:
-        if not 0.0 <= args.eta <= 1.0:
-            raise ConfigError("eta", f"must be in [0, 1], got {args.eta}")
-        m = round(args.eta * K)
-    else:
-        m = args.m if args.m is not None else round(0.2 * K)
     with library_checks():
-        overhead.check_overhead(K, args.epsilon, args.eta_max)
+        if eta is not None:
+            check_in("eta", eta, 0, 1)
+        overhead.check_overhead(K, epsilon, eta_max)
+        if m is None:  # K has passed, so it converts to a float
+            m = round((0.2 if eta is None else eta) * K)
         overhead.check_escape(K, H3, m, trials)
 
     exact = overhead.exact_escape_prob(K, H3, m)
-    eta = m / K
-    bound = overhead.bound_escape_prob(K, H3, eta) if 0.0 < eta < 1.0 else None
-    mc_estimate, mc_stderr = overhead.montecarlo_escape(K, H3, m, trials, seed)
+    rate = m / K
+    bound = overhead.bound_escape_prob(K, H3, rate) if 0.0 < rate < 1.0 else None
+    mc_estimate, mc_stderr = overhead.montecarlo_escape(K, H3, m, trials, values["seed"])
 
-    report = overhead.required_overhead(K, args.epsilon, args.eta_max)
+    report = overhead.required_overhead(K, epsilon, eta_max)
 
     lines = [
         "K,H3,m,exact,bound_S8,mc_estimate,mc_stderr",
@@ -136,15 +127,12 @@ def cmd_overhead(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
-    seed = layer("verify", DEFAULTS["verify"], args.config, vars(args))["seed"]
+    values = layer("verify", args.config, vars(args))
+    sizes = {key: values[key] for key in ("dim", "samples", "scatter_samples")}
     with library_checks():
-        constraints.check_verification(args.dim, args.samples, args.scatter_samples)
+        constraints.check_verification(**sizes)
     checks, scatter = constraints.run_verification(
-        dim=args.dim,
-        samples=args.samples,
-        scatter_samples=args.scatter_samples,
-        seed=seed,
-        enforce_return_constraint=not args.violate_constraints,
+        **sizes, seed=values["seed"], enforce_return_constraint=not args.violate_constraints
     )
     lines = ["check,result"]
     for check in checks:
@@ -163,48 +151,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decoy-slot quantum routing: simulator and security analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name: str, summary: str, defaults: dict, func) -> argparse.ArgumentParser:
+    commands = {
+        "figure2": ("leak-vs-loss curve as CSV", cmd_figure2),
+        "simulate": ("run the clocked protocol once", cmd_simulate),
+        "overhead": ("escape probabilities and decoy sizing", cmd_overhead),
+        "verify": ("attack-unitary constraint checks", cmd_verify),
+    }
+    for name, (summary, func) in commands.items():
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-        p.add_argument("--config", type=str, default=None, help="key = value config file")
-        # Config keys arrive as raw text and are parsed and checked by config.layer.
-        for key, default in defaults.items():
+        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--config", help="key = value config file")
+        # Config keys arrive as raw text and are parsed by config.layer.
+        for key, default in DEFAULTS[name].items():
             p.add_argument(
                 "--" + key.replace("_", "-"),
                 dest=key,
-                choices=KEYS[key].choices or None,
                 help=None if default is None else f"default {default}",
             )
         p.set_defaults(func=func)
-        return p
-
-    p = add_command("figure2", "leak-vs-loss curve as CSV", DEFAULTS["figure2"], cmd_figure2)
-    p.add_argument("--seed", type=int, default=None, help="unused: the curve is closed-form")
-    p.add_argument("--loss-min", dest="loss_min", type=float, default=0.0)
-    p.add_argument("--loss-max", dest="loss_max", type=float, default=3.0)
-    p.add_argument("--steps", type=int, default=61)
-
-    add_command("simulate", "run the clocked protocol once", vars(RunConfig()), cmd_simulate)
-
-    p = add_command(
-        "overhead", "escape probabilities and decoy sizing", DEFAULTS["overhead"], cmd_overhead
-    )
-    p.add_argument("--m", type=int, default=None, help="intercepted slot count")
-    p.add_argument("--eta", type=float, default=None, help="intercepted fraction (sets m)")
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--eta-max", dest="eta_max", type=float, default=0.1)
-
-    p = add_command("verify", "attack-unitary constraint checks", DEFAULTS["verify"], cmd_verify)
-    p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--scatter-samples", dest="scatter_samples", type=int, default=1000)
-    p.add_argument(
-        "--violate-constraints",
-        action="store_true",
-        help="negative-control hook: skip the return-leg constraint",
-    )
-
+        if name == "verify":
+            p.add_argument(
+                "--violate-constraints",
+                action="store_true",
+                help="negative-control hook: skip the return-leg constraint",
+            )
     return parser
 
 

@@ -1,34 +1,33 @@
 """Run configuration: flat key=value files plus flag overrides (flags win).
 
-Every subcommand layers its values the same way (:func:`layer`): its own
-defaults, then the ``--config`` file, then the flags the user gave.  Each
-key's parser is declared once, in :data:`KEYS`; its range is the check of
-the library function that takes it, which a subcommand calls inside
-:func:`library_checks` before any kernel runs.
+Every valued input of a subcommand is a config key, with one parser in
+:data:`KEYS` and its default in :data:`DEFAULTS`.  Every subcommand layers
+its values the same way (:func:`layer`): defaults, then the ``--config``
+file, then the flags.  A value's range is the check of the library function
+that takes it, called inside :func:`library_checks` before any kernel runs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from .adversary import AttackConfig, AttackMode
 from .channel import ChannelModel
-from .errors import InputError
+from .errors import InputError, check_at_least
 from .protocol import check_simulation
 
 DEFAULT_SEED = 12345
 
 
 class ConfigError(ValueError):
-    """A configuration problem, naming the offending config key or flag-only option."""
+    """A configuration problem, naming the config key at fault, or ``--config`` or ``--out``."""
 
     def __init__(self, key: str, message: str):
-        self.key = key
-        name = f"config key '{key}'" if key in KEYS else f"option '--{key.replace('_', '-')}'"
+        name = f"config key '{key}'" if key in KEYS else f"option '--{key}'"
         super().__init__(f"{name}: {message}")
 
 
@@ -47,32 +46,38 @@ def _parse_pairs(value: str) -> list[tuple[int, int]]:
     return pairs
 
 
-@dataclass(frozen=True)
-class Key:
-    """A config key: its text's parser, and a lower bound or choices no library function checks."""
+def _int_at_least(name: str, lo: int) -> Callable[[str], int]:
+    """A parser of ints from ``lo`` up, for a key that no library function checks."""
 
-    parse: Callable[[str], Any]
-    lo: int | None = None
-    choices: tuple[str, ...] = ()
+    def parse(value: str) -> int:
+        check_at_least(name, int(value), lo)
+        return int(value)
 
-    def check(self, key: str, value) -> None:
-        if self.choices and value not in self.choices:
-            raise ConfigError(key, f"must be one of {'/'.join(self.choices)}, got {value!r}")
-        if self.lo is not None and value < self.lo:
-            raise ConfigError(key, f"must be at least {self.lo}, got {value}")
+    return parse
 
 
-KEYS: dict[str, Key] = {
-    "seed": Key(int, 0),  # overhead and verify pass it to numpy, which does not name it
-    "num_nodes": Key(int, 2),
-    "pairs": Key(_parse_pairs),
+def _parse_attack(value: str) -> str:
     # The string names an AttackMode, which AttackConfig takes already converted.
-    "attack": Key(str, choices=tuple(mode.value for mode in AttackMode)),
-    "traffic": Key(str),
-    **dict.fromkeys(("K", "H2", "H3", "trials"), Key(int)),
+    names = [mode.value for mode in AttackMode]
+    if value not in names:
+        raise InputError("attack", f"must be one of {'/'.join(names)}, got {value!r}")
+    return value
+
+
+KEYS: dict[str, Callable[[str], Any]] = {
+    # overhead and verify pass the seed to numpy, which does not name it.
+    "seed": _int_at_least("seed", 0),
+    "num_nodes": _int_at_least("num_nodes", 2),
+    "pairs": _parse_pairs,
+    "attack": _parse_attack,
+    "traffic": str,
     **dict.fromkeys(
-        ("gamma", "mu", "T", "loss_db", "eta_path", "eta_msg", "threshold2", "threshold3"),
-        Key(float),
+        ("K", "H2", "H3", "trials", "m", "steps", "dim", "samples", "scatter_samples"), int
+    ),
+    **dict.fromkeys(
+        ("gamma", "mu", "T", "loss_db", "eta_path", "eta_msg", "threshold2", "threshold3",
+         "loss_min", "loss_max", "eta", "epsilon", "eta_max"),
+        float,
     ),
 }
 
@@ -118,22 +123,23 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def coerce_value(key: str, value: str):
-    """Parse a raw value, from a config file or a flag, into the key's type."""
+    """Parse a raw value, from a config file or a flag, with the key's parser."""
     try:
-        return KEYS[key].parse(value)
+        return KEYS[key](value)
+    except InputError as exc:  # a value the parser reads but the key does not take
+        raise ConfigError(key, exc.detail) from None
     except ValueError as exc:
         raise ConfigError(key, f"cannot parse {value!r}: {exc}") from None
 
 
-def layer(
-    command: str, defaults: Mapping[str, Any], config_path: str | None, flags: Mapping[str, Any]
-) -> dict[str, Any]:
+def layer(command: str, config_path: str | None, flags: Mapping[str, Any]) -> dict[str, Any]:
     """Layer ``command``'s defaults, then the config file, then non-``None`` flags.
 
-    Only the keys in ``defaults`` are read: a file key outside them is an
-    error, other flags are ignored.  Flag values are raw strings, parsed
-    like file values.  Every resulting value is range-checked.
+    Only the keys ``command`` reads are layered: a file key outside them is
+    an error, other flags are ignored.  Flag values are raw strings, parsed
+    like file values; every file value is parsed, also one a flag overrides.
     """
+    defaults = DEFAULTS[command]
     values = dict(defaults)
     if config_path:
         for key, raw in parse_config_file(config_path).items():
@@ -143,8 +149,6 @@ def layer(
     for key in defaults:
         if flags.get(key) is not None:
             values[key] = coerce_value(key, flags[key])
-    for key, value in values.items():
-        KEYS[key].check(key, value)
     return values
 
 
@@ -155,7 +159,7 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     K: int = 1000
     num_nodes: int = 2
-    pairs: list[tuple[int, int]] = field(default_factory=lambda: [(0, 1)])
+    pairs: Sequence[tuple[int, int]] = ((0, 1),)
     H2: int = 50
     H3: int = 50
     gamma: float = 0.0
@@ -171,11 +175,9 @@ class RunConfig:
 
     @classmethod
     def build(cls, config_path: str | None, flags: Mapping[str, Any]) -> "RunConfig":
-        """Layer defaults, then the config file, then flags; then check the run.
-
-        The command line's own rules come first, then the library's checks.
-        """
-        config = cls(**layer("simulate", vars(cls()), config_path, flags))
+        """Layer the run's values (:func:`layer`), then check them: the command line's rules
+        first, then the library's."""
+        config = cls(**layer("simulate", config_path, flags))
         if config.T is not None and config.loss_db is not None:
             raise ConfigError("T", "give either T or loss_db, not both")
         nodes = config.num_nodes
@@ -200,3 +202,14 @@ class RunConfig:
         return AttackConfig(
             mode=AttackMode(self.attack), eta_path=self.eta_path, eta_msg=self.eta_msg
         )
+
+
+# The keys each subcommand reads, with their defaults; simulate reads RunConfig's fields.
+DEFAULTS: dict[str, dict[str, Any]] = {
+    "figure2": {"gamma": 0.01, "mu": 0.01, "seed": None,
+                "loss_min": 0.0, "loss_max": 3.0, "steps": 61},
+    "simulate": vars(RunConfig()),
+    "overhead": {"K": 100, "H3": 20, "trials": 100_000, "seed": DEFAULT_SEED,
+                 "m": None, "eta": None, "epsilon": 0.01, "eta_max": 0.1},
+    "verify": {"seed": DEFAULT_SEED, "dim": 4, "samples": 100, "scatter_samples": 1000},
+}

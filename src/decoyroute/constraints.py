@@ -30,7 +30,7 @@ checks its inputs once; ``tradeoff_scatter`` checks each chunk of its
 Haar samples in one stacked test, and ``run_verification`` checks each
 constrained message attack once, through ``build_constrained_unitary``.
 
-Dimensions stay small (2..16): the identities are dimension-independent,
+Dimensions stay small (2..32): the identities are dimension-independent,
 so desk-scale instances verify them exactly.
 """
 
@@ -41,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_at_least
+from .errors import InputError, check_at_least
 
+MAX_DIM = 32  # run_verification's largest dimension: memory grows as dim^2 per sample
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-12
 _SCATTER_CHUNK = 256  # samples per stacked draw and QR
@@ -217,6 +218,8 @@ def swap_unitary() -> np.ndarray:
 def check_verification(dim: int, samples: int, scatter_samples: int) -> None:
     """The rules of :func:`run_verification`'s sizes, named as it names them."""
     check_at_least("dim", dim, 2)
+    if dim > MAX_DIM:
+        raise InputError("dim", f"must be at most {MAX_DIM}, got {dim}")
     check_at_least("samples", samples, 1)
     check_at_least("scatter_samples", scatter_samples, 1)
 

@@ -20,3 +20,10 @@ def check_at_least(name: str, value, lo) -> None:
     """Raise :class:`InputError` unless ``value >= lo``; NaN is outside."""
     if not value >= lo:
         raise InputError(name, f"must be at least {lo}, got {value}")
+
+
+def check_cycles(K: int, lo: int) -> None:
+    """Raise :class:`InputError` unless ``lo <= K < 2**63``: a slot index fits in int64."""
+    check_at_least("K", K, lo)
+    if K >= 2**63:
+        raise InputError("K", f"must be below 2**63 so cycles fit in int64, got {K}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_at_least, check_in
+from .errors import InputError, check_at_least, check_cycles, check_in
 
 _LOG_HALF = math.log(0.5)
 _CHUNK = 1 << 16  # Monte-Carlo trials, or log-factorial entries, per step
@@ -108,12 +108,15 @@ def bound_escape_prob(K: int, H3: int, eta: float) -> float:
     """Closed-form upper bound on the escape probability at interception rate eta.
 
     May exceed 1 for eta >= 1/2 (the bound goes vacuous there) and is
-    reported as-is.
+    reported as-is, as ``math.inf`` once it overflows a float.
     """
     _check_rate("eta", eta)
     check_escape(K, H3, 0)
     base = (K - H3) / K + H3 / (2.0 * (1.0 - eta) * K)
-    return base ** (eta * K)
+    try:
+        return base ** (eta * K)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -225,8 +228,9 @@ def montecarlo_escape(
 
 
 def check_escape(K: int, H3: int, m_intercepted: int, trials: int | None = None) -> None:
-    """The escape functions' rules: ``H3`` and ``m_intercepted`` in [0, K]; with ``trials``,
-    :func:`montecarlo_escape`'s too: a trial at least, populations below numpy's limit."""
+    """The escape functions' rules: ``1 <= K < 2**63``, ``H3`` and ``m_intercepted`` in [0, K];
+    with ``trials``, :func:`montecarlo_escape`'s: a trial at least, populations below 1e9."""
+    check_cycles(K, 1)
     check_in("H3", H3, 0, K)
     check_in("m_intercepted", m_intercepted, 0, K)
     if trials is not None:
@@ -236,7 +240,7 @@ def check_escape(K: int, H3: int, m_intercepted: int, trials: int | None = None)
 
 
 def check_overhead(K: int, epsilon: float, eta_max: float) -> None:
-    """The rules of :func:`required_overhead`: ``K >= 2`` and a finite decoy count."""
+    """The rules of :func:`required_overhead`: ``2 <= K < 2**63`` and a finite decoy count."""
     _check_sizes(K=K)
     _check_sizing(epsilon, eta_max, 2.0)
 
@@ -244,7 +248,7 @@ def check_overhead(K: int, epsilon: float, eta_max: float) -> None:
 def _check_sizes(H2: int = 0, H3: int = 0, K: int = 2) -> None:
     check_at_least("H2", H2, 0)
     check_at_least("H3", H3, 0)
-    check_at_least("K", K, 2)  # a scheduled cycle costs ceil(log2 K) bits
+    check_cycles(K, 2)  # a scheduled cycle costs ceil(log2 K) bits
 
 
 def _check_rate(name: str, value: float) -> None:

@@ -54,7 +54,7 @@ from .adversary import (
 )
 from .analysis import baseline_disturbance, inferred_eta, leaked_fraction, message_error
 from .channel import ChannelModel, transmit
-from .errors import InputError, check_at_least, check_in
+from .errors import InputError, check_at_least, check_cycles, check_in
 from .quantum import interfere_path_packet, measure_qubit, prepare_path_packet, where
 
 
@@ -192,9 +192,7 @@ def check_schedule(
     K: int, node_pairs: list[tuple[int, int]], h2_per_pair: int, h3_per_pair: int
 ) -> None:
     """The rules of :func:`generate_schedule`'s arguments, checked before any draw."""
-    check_at_least("K", K, 1)
-    if K >= 2**63:
-        raise InputError("K", f"must be below 2**63 so cycles fit in int64, got {K}")
+    check_cycles(K, 1)
     check_at_least("h2_per_pair", h2_per_pair, 0)
     check_at_least("h3_per_pair", h3_per_pair, 0)
     total, fit = h2_per_pair + h3_per_pair, max_decoys_per_pair(K)

@@ -8,7 +8,6 @@ import pytest
 from decoyroute import cli, overhead
 from decoyroute.analysis import leaked_fraction
 from decoyroute.cli import (
-    DEFAULTS,
     EXIT_CONFIG_ERROR,
     EXIT_INTERNAL_ERROR,
     EXIT_OK,
@@ -16,7 +15,7 @@ from decoyroute.cli import (
     fmt,
     main,
 )
-from decoyroute.config import KEYS, RunConfig
+from decoyroute.config import DEFAULTS, KEYS
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -131,9 +130,58 @@ def test_simulate_reads_config_file_with_flag_override(tmp_path):
     assert float(row[7]) == 0.0
 
 
+# Small flags for each command, so every run is quick and every key shows.
+TABLE_BASE = {
+    "figure2": {"steps": "5"},
+    "simulate": {"K": "200", "H2": "20", "H3": "20", "gamma": "0.05", "mu": "0.05",
+                 "attack": "both", "eta_path": "0.3", "eta_msg": "0.3",
+                 "threshold2": "0.5", "threshold3": "0.5", "num_nodes": "3", "pairs": "1-2"},
+    "overhead": {"K": "40", "H3": "8", "trials": "40"},
+    "verify": {"dim": "2", "samples": "2", "scatter_samples": "3"},
+}
+# Two values of each key, one for the file and one for the flag.  Where no
+# output shows a key, the file's value fails a check and the flag's passes.
+TABLE_VALUES = {
+    "figure2": {"gamma": ("0.01", "0.02"), "mu": ("0.01", "0.03"), "seed": ("1", "2"),
+                "loss_min": ("0", "1"), "loss_max": ("2", "3"), "steps": ("3", "4")},
+    "simulate": {
+        "seed": ("1", "2"), "K": ("200", "300"), "num_nodes": ("2", "3"),
+        "pairs": ("0-1", "1-0"), "H2": ("10", "20"), "H3": ("10", "20"),
+        "gamma": ("0.1", "0.3"), "mu": ("0", "0.5"), "T": ("0.5", "0.9"),
+        "loss_db": ("0", "10"), "attack": ("none", "both"), "eta_path": ("0.2", "0.9"),
+        "eta_msg": ("0.2", "0.9"), "threshold2": ("0", "0.5"), "threshold3": ("0", "0.5"),
+        "traffic": ("full", "silent"),
+    },
+    "overhead": {"K": ("40", "50"), "H3": ("4", "8"), "trials": ("20", "40"),
+                 "seed": ("1", "2"), "m": ("5", "10"), "eta": ("0.1", "0.2"),
+                 "epsilon": ("0.01", "0.05"), "eta_max": ("0.1", "0.2")},
+    "verify": {"seed": ("1", "2"), "dim": ("2", "3"), "samples": ("0", "2"),
+               "scatter_samples": ("2", "3")},
+}
+# The one input no run shows: figure2 accepts a seed but draws nothing.
+UNSEEN = ("figure2", "seed")
+
+
+@pytest.mark.parametrize(
+    "command, key", [(command, key) for command, keys in DEFAULTS.items() for key in keys]
+)
+def test_every_input_may_come_from_a_file_and_the_flag_wins(command, key, tmp_path):
+    file_value, flag_value = TABLE_VALUES[command][key]
+    base = [f"--{k.replace('_', '-')}={v}" for k, v in TABLE_BASE[command].items() if k != key]
+    flag = f"--{key.replace('_', '-')}"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {file_value}\n")
+    from_file = run_cli(command, *base, "--config", str(config))
+    from_both = run_cli(command, *base, "--config", str(config), flag, flag_value)
+    assert from_file == run_cli(command, *base, flag, file_value)
+    assert from_both == run_cli(command, *base, flag, flag_value)
+    assert from_both[0] == EXIT_OK
+    assert (from_file == from_both) == ((command, key) == UNSEEN)
+
+
 def test_config_errors_name_the_offending_key(tmp_path, capsys):
-    # Keys of config.KEYS are named "config key '<key>'"; flag-only options
-    # "option '--<flag>'".
+    # Keys of config.KEYS are named "config key '<key>'"; --config and --out,
+    # the only valued flags outside it, "option '--<flag>'".
     config = tmp_path / "bad.cfg"
     config.write_text("gamma = 2.0\n")
     code, _ = run_cli("simulate", "--config", str(config))
@@ -173,22 +221,22 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys):
         (("figure2", "--gamma", "2"), "config key 'gamma'"),
         (("overhead", "--config", str(overhead_file)), "config key 'gamma'"),
         (("figure2", "--config", str(figure2_file)), "config key 'K'"),
-        (("verify", "--scatter-samples", "0"), "option '--scatter-samples'"),
-        (("figure2", "--steps", "1"), "option '--steps'"),
-        (("figure2", "--loss-min", "2", "--loss-max", "1"), "option '--loss-max'"),
-        (("figure2", "--loss-min", "-1"), "option '--loss-min'"),
-        (("figure2", "--loss-max", "inf"), "option '--loss-max'"),
-        (("figure2", "--loss-min", "inf", "--loss-max", "inf"), "option '--loss-min'"),
-        (("figure2", "--loss-min", "nan"), "option '--loss-min'"),
-        (("overhead", "--m", "5", "--eta", "0.1"), "option '--m'"),
-        (("overhead", "--eta", "2"), "option '--eta'"),
+        (("verify", "--scatter-samples", "0"), "config key 'scatter_samples'"),
+        (("figure2", "--steps", "1"), "config key 'steps'"),
+        (("figure2", "--loss-min", "2", "--loss-max", "1"), "config key 'loss_max'"),
+        (("figure2", "--loss-min", "-1"), "config key 'loss_min'"),
+        (("figure2", "--loss-max", "inf"), "config key 'loss_max'"),
+        (("figure2", "--loss-min", "inf", "--loss-max", "inf"), "config key 'loss_min'"),
+        (("figure2", "--loss-min", "nan"), "config key 'loss_min'"),
+        (("overhead", "--m", "5", "--eta", "0.1"), "config key 'm'"),
+        (("overhead", "--eta", "2"), "config key 'eta'"),
         (("simulate", "--config", str(tmp_path / "missing.cfg")), "option '--config'"),
         (("overhead", "--config", str(tmp_path)), "option '--config'"),
         (("simulate", "--out", str(tmp_path / "missing" / "x.csv")), "option '--out'"),
-        (("verify", "--dim", "0"), "option '--dim'"),
-        (("verify", "--samples", "0"), "option '--samples'"),
-        (("overhead", "--epsilon", "0"), "option '--epsilon'"),
-        (("overhead", "--eta-max", "1"), "option '--eta-max'"),
+        (("verify", "--dim", "0"), "config key 'dim'"),
+        (("verify", "--samples", "0"), "config key 'samples'"),
+        (("overhead", "--epsilon", "0"), "config key 'epsilon'"),
+        (("overhead", "--eta-max", "1"), "config key 'eta_max'"),
     ):
         code, _ = run_cli(*argv)
         assert code == EXIT_CONFIG_ERROR, argv
@@ -234,7 +282,6 @@ def test_readme_lists_the_keys_each_command_reads():
         for command, keys in re.findall(r"^- `(\w+)`: `([^`]*)`", section, re.MULTILINE)
     }
     read = {command: list(defaults) for command, defaults in DEFAULTS.items()}
-    read["simulate"] = list(vars(RunConfig()))
     assert listed == read
     assert {key for keys in listed.values() for key in keys} == set(KEYS)
 
@@ -420,13 +467,13 @@ def test_overhead_rejects_an_overflowing_decoy_count(monkeypatch, capsys):
     monkeypatch.setattr(overhead, "exact_escape_prob", must_not_run)
     monkeypatch.setattr(overhead, "montecarlo_escape", must_not_run)
     for flags, name in (
-        (("--eta-max", "1e-308"), "--eta-max"),
-        (("--epsilon", "5e-324"), "--epsilon"),
-        (("--epsilon", "1e-300", "--eta-max", "1e-306"), "--eta-max"),
+        (("--eta-max", "1e-308"), "eta_max"),
+        (("--epsilon", "5e-324"), "epsilon"),
+        (("--epsilon", "1e-300", "--eta-max", "1e-306"), "eta_max"),
     ):
         code, text = run_cli("overhead", "--K", "30", "--trials", "10", *flags)
         assert (code, text) == (EXIT_CONFIG_ERROR, ""), flags
-        assert capsys.readouterr().err.startswith(f"error: option '{name}': "), flags
+        assert capsys.readouterr().err.startswith(f"error: config key '{name}': "), flags
 
 
 def test_simulate_without_message_decoys_clamps_the_modelled_error():

@@ -13,7 +13,7 @@ import io
 import pytest
 
 from decoyroute import analysis, cli, constraints, overhead
-from decoyroute.cli import EXIT_CONFIG_ERROR, EXIT_INTERNAL_ERROR, main
+from decoyroute.cli import EXIT_CONFIG_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, main
 from decoyroute.errors import InputError
 
 
@@ -38,7 +38,8 @@ def no_kernel(monkeypatch):
 
 def exit_2_cases(tmp_path) -> list[tuple[tuple[str, ...], str]]:
     """The exit-2 cases of ``test_cli.py``'s config error test, and those of its
-    oversubscription, population and overflow tests, with the name each must give."""
+    oversubscription, population and overflow tests, then the slot-count and
+    dimension bounds, with the name each must give."""
     def config(name: str, text: str) -> str:
         path = tmp_path / name
         path.write_text(text)
@@ -59,26 +60,33 @@ def exit_2_cases(tmp_path) -> list[tuple[tuple[str, ...], str]]:
         (("figure2", "--gamma", "2"), "config key 'gamma'"),
         (("overhead", "--config", config("overhead.cfg", "gamma = 0.1\n")), "config key 'gamma'"),
         (("figure2", "--config", config("figure2.cfg", "K = 5\n")), "config key 'K'"),
-        (("verify", "--scatter-samples", "0"), "option '--scatter-samples'"),
-        (("figure2", "--steps", "1"), "option '--steps'"),
-        (("figure2", "--loss-min", "2", "--loss-max", "1"), "option '--loss-max'"),
-        (("figure2", "--loss-min", "-1"), "option '--loss-min'"),
-        (("figure2", "--loss-max", "inf"), "option '--loss-max'"),
-        (("figure2", "--loss-min", "inf", "--loss-max", "inf"), "option '--loss-min'"),
-        (("figure2", "--loss-min", "nan"), "option '--loss-min'"),
-        (("overhead", "--m", "5", "--eta", "0.1"), "option '--m'"),
-        (("overhead", "--eta", "2"), "option '--eta'"),
+        (("verify", "--scatter-samples", "0"), "config key 'scatter_samples'"),
+        (("figure2", "--steps", "1"), "config key 'steps'"),
+        (("figure2", "--loss-min", "2", "--loss-max", "1"), "config key 'loss_max'"),
+        (("figure2", "--loss-min", "-1"), "config key 'loss_min'"),
+        (("figure2", "--loss-max", "inf"), "config key 'loss_max'"),
+        (("figure2", "--loss-min", "inf", "--loss-max", "inf"), "config key 'loss_min'"),
+        (("figure2", "--loss-min", "nan"), "config key 'loss_min'"),
+        (("overhead", "--m", "5", "--eta", "0.1"), "config key 'm'"),
+        (("overhead", "--eta", "2"), "config key 'eta'"),
         (("simulate", "--config", str(tmp_path / "missing.cfg")), "option '--config'"),
         (("overhead", "--config", str(tmp_path)), "option '--config'"),
-        (("verify", "--dim", "0"), "option '--dim'"),
-        (("verify", "--samples", "0"), "option '--samples'"),
-        (("overhead", "--epsilon", "0"), "option '--epsilon'"),
-        (("overhead", "--eta-max", "1"), "option '--eta-max'"),
+        (("verify", "--dim", "0"), "config key 'dim'"),
+        (("verify", "--samples", "0"), "config key 'samples'"),
+        (("overhead", "--epsilon", "0"), "config key 'epsilon'"),
+        (("overhead", "--eta-max", "1"), "config key 'eta_max'"),
         (("simulate", "--K", "4", "--H2", "3", "--H3", "2"), "config key 'K'"),
         (("simulate", "--K", "20", "--H2", "6", "--H3", "6"), "config key 'K'"),
         (("overhead", "--K", "1000000020", "--H3", "20"), "config key 'K'"),
-        (("overhead", "--K", "30", "--eta-max", "1e-308"), "option '--eta-max'"),
-        (("overhead", "--K", "30", "--epsilon", "5e-324"), "option '--epsilon'"),
+        (("overhead", "--K", "30", "--eta-max", "1e-308"), "config key 'eta_max'"),
+        (("overhead", "--K", "30", "--epsilon", "5e-324"), "config key 'epsilon'"),
+        # K must convert to a float before m = round(eta K) is derived from it.
+        (("overhead", "--K", str(2**63), "--H3", "0"), "config key 'K'"),
+        (("overhead", "--K", "1" + "0" * 400, "--H3", "0", "--eta", "0.5"), "config key 'K'"),
+        (("overhead", "--config", config("big.cfg", "K = 1" + "0" * 400 + "\n")),
+         "config key 'K'"),
+        (("verify", "--dim", "33"), "config key 'dim'"),
+        (("verify", "--config", config("dim.cfg", "dim = 10000\n")), "config key 'dim'"),
     ]
 
 
@@ -93,7 +101,7 @@ def test_every_check_runs_before_any_kernel(tmp_path, no_kernel, capsys):
 def test_checks_rename_only_the_library_names_the_cli_spells_otherwise(no_kernel, capsys):
     # The library names these m_intercepted, h2_per_pair, h3_per_pair and node_pairs.
     for argv, prefix in (
-        (("overhead", "--K", "30", "--m", "31"), "option '--m'"),
+        (("overhead", "--K", "30", "--m", "31"), "config key 'm'"),
         (("simulate", "--H2", "-1"), "config key 'H2'"),
         (("simulate", "--H3", "-1"), "config key 'H3'"),
         (("simulate", "--num-nodes", "3", "--pairs", "0-1,2-2"), "config key 'pairs'"),
@@ -138,3 +146,10 @@ def test_library_callers_get_a_value_error_naming_the_argument():
     assert (excinfo.value.name, excinfo.value.detail) == (
         "loss_min_db", "must be finite and >= 0, got -1.0"
     )
+
+
+def test_a_vacuous_bound_that_overflows_prints_inf():
+    code, text = run_cli("overhead", "--K", "1000000", "--H3", "100000", "--eta", "0.9",
+                         "--trials", "1")
+    assert code == EXIT_OK
+    assert text.splitlines()[1].split(",")[:5] == ["1000000", "100000", "900000", "0", "inf"]

@@ -1,9 +1,11 @@
-"""CLI fuzz: generated flag values for simulate, overhead and figure2.
+"""CLI fuzz: generated flag values for every subcommand.
 
 Whatever the flags, a run ends with exit 0, 1 or 2: an internal error
 (exit 3) on user input is a bug.  Every exit 2 names the config key or the
 option at fault.  Each command starts from small sizes (at most 40 cycles,
-trials or steps), which any generated flag may override.
+trials or steps, dimension 2), which any generated flag may override.  The
+flags of each command, and the kind of value each takes, come from the
+config tables, so a new key is fuzzed as soon as it exists.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from decoyroute.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, main
-from decoyroute.config import RunConfig
+from decoyroute.config import DEFAULTS, KEYS
 
-# A ConfigError names "config key 'K'" or "option '--steps'"; argparse
+# A ConfigError names "config key 'K'" or "option '--config'"; argparse
 # names "argument --steps".
 NAMED = re.compile(r"config key '\w+'|option '--[\w-]+'|argument --[\w-]+")
 
@@ -26,17 +28,18 @@ BASE = {
     "simulate": ["--K=40", "--H2=4", "--H3=4"],
     "overhead": ["--K=40", "--H3=8", "--trials=40"],
     "figure2": ["--steps=40"],
+    "verify": ["--dim=2", "--samples=2", "--scatter-samples=3"],
 }
-INT_OPTIONS = {"seed", "K", "num_nodes", "H2", "H3", "trials", "m", "steps"}
-FLOAT_OPTIONS = {
-    "gamma", "mu", "T", "loss_db", "eta_path", "eta_msg", "threshold2", "threshold3",
-    "eta", "epsilon", "eta_max", "loss_min", "loss_max",
-}
-OPTIONS = {
-    "simulate": sorted(vars(RunConfig())),
-    "overhead": ["K", "H3", "trials", "seed", "m", "eta", "epsilon", "eta_max"],
-    "figure2": ["gamma", "mu", "seed", "loss_min", "loss_max", "steps"],
-}
+OPTIONS = {command: sorted(defaults) for command, defaults in DEFAULTS.items()}
+
+
+def parsed_type(key: str) -> type | None:
+    """What the key's parser makes of "7": int and float keys fuzz as numbers."""
+    try:
+        return type(KEYS[key]("7"))
+    except ValueError:
+        return None
+
 
 junk = st.sampled_from(["", "nan", "inf", "-inf", "x", "1e-308", "5e-324", "0-1", "none"])
 ints = st.integers(-3, 40).map(str)
@@ -51,9 +54,10 @@ choices = st.sampled_from(["none", "path", "message", "both", "full", "silent"])
 
 
 def values(option: str) -> st.SearchStrategy[str]:
-    if option in INT_OPTIONS:
+    kind = parsed_type(option)
+    if kind is int:
         return st.one_of(ints, ints, ints, junk)
-    if option in FLOAT_OPTIONS:
+    if kind is float:
         return st.one_of(floats, floats, ints, junk)
     if option == "pairs":
         return st.one_of(pair_lists, bad_pair_lists, junk)
@@ -79,6 +83,12 @@ def command_lines(draw) -> list[str]:
 @example(["simulate", "--K=100", "--H2=0", "--H3=10", "--mu=0.9"])
 @example(["overhead", "--K=30", "--trials=10", "--eta-max=1e-308"])
 @example(["overhead", "--K=30", "--trials=10", "--epsilon=5e-324"])
+# A vacuous S8 bound (eta >= 1/2) at large K overflows a float.
+@example(["overhead", "--K=1000000", "--H3=100000", "--eta=0.9", "--trials=1"])
+@example(["overhead", "--K=1000000000", "--H3=0", "--eta=0.5", "--trials=1"])
+@example(["overhead", f"--K={2**63}", "--H3=0", "--eta=0.75", "--trials=1"])
+@example(["overhead", "--K=1" + "0" * 400, "--H3=0", "--trials=1"])
+@example(["verify", "--dim=33"])
 def test_cli_exits_0_1_or_2_and_names_the_key_at_fault(argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):

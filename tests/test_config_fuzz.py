@@ -4,7 +4,8 @@ A file mixes the command's own keys, the keys of other commands, unknown
 keys, out-of-range and unparsable values, and malformed lines.  Whatever
 it holds, a run ends with exit 0, 1 or 2, and every exit 2 names the key
 at fault or ``--config``.  The flags keep each run small; a file key that
-a flag also sets is overridden, so the flags set only what no file can.
+a flag also sets is still parsed, then overridden.  The keys each command
+reads, and the kind of value each takes, come from the config tables.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import re
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from decoyroute.cli import DEFAULTS, EXIT_CONFIG_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, main
-from decoyroute.config import KEYS, RunConfig
+from decoyroute.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, main
+from decoyroute.config import DEFAULTS, KEYS
 
 NAMED = re.compile(r"config key '\w+'|option '--[\w-]+'")
 
@@ -28,8 +29,14 @@ FLAGS = {
     "verify": ["--dim=2", "--samples=2", "--scatter-samples=3"],
 }
 READS = {command: sorted(defaults) for command, defaults in DEFAULTS.items()}
-READS["simulate"] = sorted(vars(RunConfig()))
-INTS = {"seed", "K", "num_nodes", "H2", "H3", "trials"}
+
+
+def parsed_type(key: str) -> type | None:
+    """What the key's parser makes of "7": int and float keys fuzz as numbers."""
+    try:
+        return type(KEYS[key]("7"))
+    except ValueError:
+        return None
 
 junk = st.sampled_from(
     ["", "nan", "inf", "-inf", "x", "1e-308", "5e-324", "0-1", "none", "1.5", "= 3", "1 2"]
@@ -43,13 +50,14 @@ words = st.sampled_from(["none", "path", "message", "both", "full", "silent"])
 
 
 def value(key: str) -> st.SearchStrategy[str]:
-    if key in INTS:
+    kind = parsed_type(key)
+    if kind is int:
         return st.one_of(small_ints, small_ints, junk)
+    if kind is float:
+        return st.one_of(floats, floats, small_ints, junk)
     if key == "pairs":
         return st.one_of(pairs, junk)
-    if key in ("attack", "traffic"):
-        return st.one_of(words, junk)
-    return st.one_of(floats, floats, small_ints, junk)
+    return st.one_of(words, junk)  # attack and traffic
 
 
 malformed = st.sampled_from(
@@ -87,6 +95,10 @@ def config_runs(draw) -> tuple[str, str]:
 @example(("figure2", "gamma = 0.9\nmu = nan\n"))
 @example(("verify", "seed = -3\n"))
 @example(("simulate", "T = 1\nloss_db = 0\n"))
+@example(("overhead", "K = 1000000\nH3 = 100000\neta = 0.9\ntrials = 1\n"))
+@example(("overhead", "K = 1" + "0" * 400 + "\nH3 = 0\ntrials = 1\n"))
+@example(("overhead", "m = 5\neta = 0.1\n"))
+@example(("figure2", "seed = -1\n"))
 def test_config_files_exit_0_1_or_2_and_name_the_key_at_fault(tmp_path, run):
     command, text = run
     config = tmp_path / "run.cfg"

@@ -198,3 +198,11 @@ def test_random_unitary_is_unitary():
 def test_run_verification_names_the_bad_argument(name):
     with pytest.raises(ValueError, match=f"^{name} must be at least"):
         run_verification(**{name: 0})
+
+
+def test_run_verification_bounds_the_dimension():
+    # Memory grows as dim^2 per scatter sample, so dim stops at MAX_DIM = 32.
+    with pytest.raises(ValueError, match="^dim must be at most 32, got 33$"):
+        run_verification(dim=33, samples=1, scatter_samples=1)
+    checks, scatter = run_verification(dim=32, samples=1, scatter_samples=1, seed=0)
+    assert all(check.passed for check in checks) and len(scatter) == 1

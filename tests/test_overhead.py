@@ -157,6 +157,32 @@ def test_bound_escape_vacuous_cases():
     assert bound_escape_prob(123, 0, 0.3) == 1.0
 
 
+def test_vacuous_bound_that_overflows_a_float_is_inf():
+    # At eta >= 1/2 the base exceeds 1, and base ** (eta K) overflows at large K.
+    assert bound_escape_prob(10**6, 10**5, 0.9) == math.inf
+    assert 1.0 < bound_escape_prob(1000, 100, 0.9) < math.inf
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda K: exact_escape_prob(K, 0, 0),
+        lambda K: montecarlo_escape(K, 0, 0, trials=1, seed=0),
+        lambda K: bound_escape_prob(K, 0, 0.5),
+        lambda K: required_overhead(K, 0.01, 0.1),
+        lambda K: h1_bits(1, 1, K),
+    ],
+    ids=["exact", "montecarlo", "bound", "overhead", "h1_bits"],
+)
+def test_every_k_is_below_2_to_the_63(call):
+    # One bound for every slot count, as the schedule has: a K that a float
+    # cannot hold never reaches the arithmetic.
+    call(2**63 - 1)
+    for K in (2**63, 10**400):
+        with pytest.raises(ValueError, match=r"^K must be below 2\*\*63"):
+            call(K)
+
+
 def test_bound_escape_rejects_degenerate_rates():
     with pytest.raises(ValueError):
         bound_escape_prob(100, 20, 0.0)
