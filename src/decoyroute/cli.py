@@ -101,8 +101,9 @@ def cmd_overhead(args: argparse.Namespace, out: IO[str]) -> int:
         if eta is not None:
             check_in("eta", eta, 0, 1)
         overhead.check_overhead(K, epsilon, eta_max)
-        if m is None:  # K has passed, so it converts to a float
-            m = round((0.2 if eta is None else eta) * K)
+        if m is None:  # binary64 eta * K, kept in [0, K] above 2**53; every slot at eta = 1
+            eta = 0.2 if eta is None else eta
+            m = K if eta == 1 else min(round(eta * K), K)
         overhead.check_escape(K, H3, m, trials)
 
     exact = overhead.exact_escape_prob(K, H3, m)

@@ -25,13 +25,14 @@ Inputs are plain arrays: a probe (the environment's initial state) is a
 unit complex vector of length d, a message-slot attack a 2d x 2d unitary,
 and a path round trip its four d x d unitaries ``(leg_out, leg_back,
 idle_first, idle_second)``, the legs acting on the travelling branch and
-the idles on the retained one over the same two cycles.  Each kernel
-checks its inputs once; ``tradeoff_scatter`` checks each chunk of its
-Haar samples in one stacked test, and ``run_verification`` checks each
-constrained message attack once, through ``build_constrained_unitary``.
-
-Dimensions stay small (2..32): the identities are dimension-independent,
-so desk-scale instances verify them exactly.
+the idles on the retained one over the same two cycles, with d from 2 to
+32: the identities are dimension-independent, so desk-scale instances
+verify them exactly.  The kernels score stacks of these on a leading
+sample axis, each sample alone and bitwise the same whatever the stack
+size; ``message_figures`` and ``round_trip_figures`` check one sample and
+score it as a one-sample stack.  One sampler, ``haar_chunks``, draws
+every random sample, a chunk at a time with one QR and one stacked
+unitarity check per chunk.
 """
 
 from __future__ import annotations
@@ -46,17 +47,11 @@ from .errors import InputError, check_at_least
 MAX_DIM = 32  # run_verification's largest dimension: memory grows as dim^2 per sample
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-12
-_SCATTER_CHUNK = 256  # samples per stacked draw and QR
+_CHUNK_ENTRIES = 1 << 16  # unitary entries per sampled chunk: 256 samples of 4 at d = 8
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
-# The four message preparations as qubit amplitude pairs, with the state
-# a same-basis measurement must not observe.
-_BB84_CASES = (
-    (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-    (np.array([0.0, 1.0]), np.array([1.0, 0.0])),
-    (np.array([_SQRT_HALF, _SQRT_HALF]), np.array([_SQRT_HALF, -_SQRT_HALF])),
-    (np.array([_SQRT_HALF, -_SQRT_HALF]), np.array([_SQRT_HALF, _SQRT_HALF])),
-)
+# The four message preparations; a same-basis measurement of _PREPARED[i] must not see _WRONG[i].
+_PREPARED = np.array([[1, 0], [0, 1], [1, 1], [1, -1]]) / np.sqrt([1, 1, 2, 2])[:, np.newaxis]
+_WRONG = _PREPARED[[1, 0, 3, 2]]
 
 
 def _unitary(name: str, matrix: np.ndarray, ndim: int = 2) -> np.ndarray:
@@ -74,47 +69,63 @@ def _unitary(name: str, matrix: np.ndarray, ndim: int = 2) -> np.ndarray:
 def _probe(probe: np.ndarray, dim: int) -> np.ndarray:
     """``probe`` as a complex array, once it is checked to be a unit ``dim``-vector."""
     probe = np.asarray(probe, dtype=complex)
-    if probe.ndim != 1:
-        raise ValueError(f"probe must be a vector, got shape {probe.shape}")
-    if probe.shape[0] != dim:
-        raise ValueError(f"probe length {probe.shape[0]} does not match operator dimension {dim}")
+    if probe.shape != (dim,):
+        raise ValueError(f"probe shape {probe.shape} does not match operator dimension {dim}")
     if abs(np.linalg.norm(probe) - 1.0) > NORM_TOL:
         raise ValueError("probe must have unit norm")
     return probe
 
 
-def random_probe(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit vector from a normalised complex Gaussian draw."""
-    state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return state / np.linalg.norm(state)
+def _dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per-sample inner products of two vector stacks, each one BLAS dot as ``np.dot`` takes it."""
+    return (left[..., np.newaxis, :] @ right[..., :, np.newaxis])[..., 0, 0]
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Unitary from QR of a complex Gaussian matrix, with phases fixed."""
-    return _haar_unitaries(rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim)))
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Norms of a stack of complex vectors, each summed as ``np.linalg.norm`` sums one vector."""
+    return np.sqrt(_dots(vectors.real, vectors.real) + _dots(vectors.imag, vectors.imag))
 
 
-def _haar_unitaries(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
-    """Q of the QR of (real + i imag)/sqrt(2), stacked, with R's diagonal made positive."""
-    q, r = np.linalg.qr((real + 1j * imag) / np.sqrt(2.0))
+def random_unitary(normals: np.ndarray) -> np.ndarray:
+    """The Haar map: unitaries from normals of shape (..., 2, d, d), real then imaginary,
+    as Q of one stacked QR of (real + i imag)/sqrt(2) with R's diagonal phases moved
+    into Q (Mezzadri, Notices AMS 54(5), 2007)."""
+    q, r = np.linalg.qr((normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., np.newaxis, :]
 
 
+def haar_chunks(rng: np.random.Generator, samples: int, k: int, dim: int):
+    """``samples`` draws in unchecked chunks ``(unitaries, probes)``, (n, k, dim, dim) and
+    (n, dim): per sample k Haar unitaries, then a unit probe, each real parts first.  A
+    chunk is one normal block of about ``_CHUNK_ENTRIES`` unitary entries, read in that
+    order, so the draws do not depend on the chunk size."""
+    size = 2 * k * dim * dim
+    per_chunk = max(1, _CHUNK_ENTRIES // (k * dim * dim))
+    for done in range(0, samples, per_chunk):
+        normals = rng.normal(size=(min(per_chunk, samples - done), size + 2 * dim))
+        probes = normals[:, size : size + dim] + 1j * normals[:, size + dim :]
+        unitaries = random_unitary(normals[:, :size].reshape(-1, k, 2, dim, dim))
+        yield unitaries, probes / _norms(probes)[:, np.newaxis]
+
+
 def build_constrained_unitary(W: np.ndarray) -> np.ndarray:
-    """The only message-slot attack surviving both basis constraints: qubit untouched."""
-    W = _unitary("W", W)
+    """The only message-slot attack surviving both basis constraints, diag(W, W):
+    the qubit untouched.  ``W`` may be a stack; each of its matrices is checked."""
+    W = _unitary("W", W, max(2, np.ndim(W)))
     zero = np.zeros_like(W)
     return np.block([[W, zero], [zero, W]])
 
 
-def constrained_link_pair(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """Random round trip ``(leg_out, leg_back, idle_first, idle_second)`` satisfying
-    the zero-disturbance condition ``leg_back @ leg_out == idle_second @ idle_first``."""
-    idle_first = random_unitary(dim, rng)
-    idle_second = random_unitary(dim, rng)
-    leg_out = random_unitary(dim, rng)
-    leg_back = idle_second @ idle_first @ leg_out.conj().T
+def _trips(drawn: np.ndarray, closed: bool) -> tuple[np.ndarray, ...]:
+    """Round trips ``(leg_out, leg_back, idle_first, idle_second)`` from a (n, k, d, d) Haar
+    stack, checked here: its four unitaries, or with ``closed`` its ``(idle_first, idle_second,
+    leg_out)`` and the ``leg_back`` making ``leg_back @ leg_out == idle_second @ idle_first``."""
+    drawn = tuple(np.moveaxis(_unitary("Haar sample", drawn, 4), 1, 0))
+    if not closed:
+        return drawn
+    idle_first, idle_second, leg_out = drawn
+    leg_back = idle_second @ idle_first @ np.swapaxes(leg_out.conj(), -1, -2)
     return leg_out, leg_back, idle_first, idle_second
 
 
@@ -128,20 +139,18 @@ def message_figures(U: np.ndarray, probe: np.ndarray) -> tuple[float, float]:
     U = _unitary("message attack", U)
     if U.shape[0] % 2:
         raise ValueError(f"message attack must be 2d x 2d, got shape {U.shape}")
-    return _message(U, _probe(probe, U.shape[0] // 2))
+    return tuple(float(f[0]) for f in _message(U[None], _probe(probe, U.shape[0] // 2)[None]))
 
 
-def _message(U, probe) -> tuple[float, float]:
-    """``message_figures`` on inputs already checked."""
-    disturbance = 0.0
-    marginals = []
-    for qubit_in, wrong in _BB84_CASES:
-        out = (U @ np.kron(qubit_in, probe)).reshape(2, -1)
-        wrong_amp = wrong.conj() @ out
-        disturbance += float(np.vdot(wrong_amp, wrong_amp).real)
-        marginals.append(out.T @ out.conj())
-    leakage = max(trace_distance(*marginals[:2]), trace_distance(*marginals[2:]))
-    return disturbance / 4.0, leakage
+def _message(U: np.ndarray, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``message_figures`` per sample of checked stacks: U (n, 2d, 2d), probe (n, d)."""
+    n, d = probe.shape
+    inputs = (_PREPARED[..., np.newaxis] * probe[:, np.newaxis, np.newaxis]).reshape(n, 4, 2 * d)
+    out = (U[:, np.newaxis] @ inputs[..., np.newaxis]).reshape(n, 4, 2, d)  # per preparation
+    wrong_amp = (_WRONG.conj()[:, :, np.newaxis] * out).sum(axis=-2)
+    disturbance = (wrong_amp.real**2 + wrong_amp.imag**2).sum(axis=-1).sum(axis=-1) / 4.0
+    rho = np.swapaxes(out, -1, -2) @ out.conj()  # the probe's state after each preparation
+    return disturbance, trace_distance(rho[:, 0::2], rho[:, 1::2]).max(axis=-1)
 
 
 def round_trip_figures(trip: Sequence[np.ndarray], probe: np.ndarray) -> tuple[float, float]:
@@ -150,49 +159,40 @@ def round_trip_figures(trip: Sequence[np.ndarray], probe: np.ndarray) -> tuple[f
     ``trip`` is ``(leg_out, leg_back, idle_first, idle_second)``.  The
     disturbance is the wrong-port probability of the interference readout;
     the indistinguishability is the trace distance between the environment
-    after a transmission and after silence.  For unit vectors that distance
-    equals sqrt(1 - |overlap|^2); computing it as the norm of the component
-    of one state orthogonal to the other is the same number but stays
-    accurate near zero distance.
+    after a transmission and after silence, computed as the norm of the
+    component of one state orthogonal to the other: sqrt(1 - |overlap|^2)
+    for unit vectors, but accurate near zero distance.
     """
     names = ("leg_out", "leg_back", "idle_first", "idle_second")
-    trip = [_unitary(name, matrix) for name, matrix in zip(names, trip)]
-    return _round_trip(*trip, _probe(probe, trip[0].shape[0]))
+    trip = [_unitary(name, matrix)[np.newaxis] for name, matrix in zip(names, trip)]
+    return tuple(float(f[0]) for f in _round_trip(*trip, _probe(probe, trip[0].shape[-1])[None]))
 
 
-def _round_trip(leg_out, leg_back, idle_first, idle_second, probe) -> tuple[float, float]:
-    """``round_trip_figures`` on inputs already checked."""
-    retained = (idle_second @ idle_first) @ probe
-    travelling = (leg_back @ leg_out) @ probe
-    overlap = np.vdot(retained, travelling)
-    orthogonal = travelling - overlap * retained
-    return float((1.0 - overlap.real) / 2.0), float(min(1.0, np.linalg.norm(orthogonal)))
+def _round_trip(leg_out, leg_back, idle_first, idle_second, probe) -> tuple[np.ndarray, np.ndarray]:
+    """``round_trip_figures`` per sample of checked stacks: (n, d, d) legs, (n, d) probes."""
+    probe = probe[..., np.newaxis]
+    retained = ((idle_second @ idle_first) @ probe)[..., 0]
+    travelling = ((leg_back @ leg_out) @ probe)[..., 0]
+    overlap = _dots(retained.conj(), travelling)
+    orthogonal = travelling - overlap[..., np.newaxis] * retained
+    return (1.0 - overlap.real) / 2.0, np.minimum(1.0, _norms(orthogonal))
 
 
-def tradeoff_scatter(
-    samples: int, d: int, seed: int
-) -> list[tuple[float, float]]:
-    """Disturbance/indistinguishability pairs for random unconstrained attacks.
-
-    Per sample: four unitaries, then a probe; each chunk is one draw, QR and unitarity check."""
+def tradeoff_scatter(samples: int, d: int, seed: int) -> list[tuple[float, float]]:
+    """Disturbance/indistinguishability pairs for random unconstrained attacks: per sample
+    four Haar unitaries, then a probe, drawn and scored a chunk at a time."""
     check_at_least("samples", samples, 1)
     check_at_least("d", d, 2)
-    rng = np.random.default_rng(seed)
     points = []
-    for done in range(0, samples, _SCATTER_CHUNK):
-        normals = rng.normal(size=(min(_SCATTER_CHUNK, samples - done), 8 * d * d + 2 * d))
-        parts = normals[:, : 8 * d * d].reshape(-1, 4, 2, d, d)
-        unitaries = _unitary("Haar sample", _haar_unitaries(parts[:, :, 0], parts[:, :, 1]), 4)
-        for trip, probe_normals in zip(unitaries, normals[:, 8 * d * d :]):
-            state = probe_normals[:d] + 1j * probe_normals[d:]
-            points.append(_round_trip(*trip, state / np.linalg.norm(state)))
+    for unitaries, probes in haar_chunks(np.random.default_rng(seed), samples, 4, d):
+        figures = _round_trip(*_trips(unitaries, closed=False), probes)
+        points += zip(*(figure.tolist() for figure in figures))
     return points
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the trace norm of the difference of two density operators."""
-    eigenvalues = np.linalg.eigvalsh(rho - sigma)
-    return float(np.abs(eigenvalues).sum() / 2.0)
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Half the trace norm of the difference of two density operators, or of two stacks."""
+    return np.abs(np.linalg.eigvalsh(rho - sigma)).sum(axis=-1) / 2.0
 
 
 @dataclass(frozen=True)
@@ -239,66 +239,46 @@ def run_verification(
     checks: list[CheckResult] = []
 
     def record(name: str, worst: float, tolerance: float) -> None:
-        checks.append(CheckResult(name, worst <= tolerance))
+        checks.append(CheckResult(name, bool(worst <= tolerance)))
 
-    worst_d = worst_l = 0.0
-    for _ in range(samples):
-        # diag(W, W) is unitary exactly when W is, which build_constrained_unitary checks.
-        U = build_constrained_unitary(random_unitary(dim, rng))
-        disturbance, leakage = _message(U, random_probe(dim, rng))
-        worst_d = max(worst_d, disturbance)
-        worst_l = max(worst_l, leakage)
-    record("constrained_message_zero_disturbance", worst_d, 1e-10)
-    record("constrained_message_zero_leakage", worst_l, 1e-10)
+    def record_worst(names: tuple[str, str], chunks) -> None:
+        worst = np.zeros(2)  # running maxima: memory does not grow with samples
+        for figures in chunks:
+            worst = np.maximum(worst, np.max(figures, axis=-1))
+        for name, value in zip(names, worst):
+            record(name, value, 1e-10)
 
-    worst_d = worst_i = 0.0
-    for _ in range(samples):
-        if enforce_return_constraint:
-            trip = constrained_link_pair(dim, rng)
-        else:
-            trip = [random_unitary(dim, rng) for _ in range(4)]
-        disturbance, distance = round_trip_figures(trip, random_probe(dim, rng))
-        worst_d = max(worst_d, disturbance)
-        worst_i = max(worst_i, distance)
-    record("constrained_link_zero_disturbance", worst_d, 1e-10)
-    record("constrained_link_zero_indistinguishability", worst_i, 1e-10)
+    # diag(W, W) is unitary exactly when W is, which build_constrained_unitary checks.
+    record_worst(
+        ("constrained_message_zero_disturbance", "constrained_message_zero_leakage"),
+        (_message(build_constrained_unitary(W[:, 0]), probes)
+         for W, probes in haar_chunks(rng, samples, 1, dim)),
+    )
+    closed = enforce_return_constraint
+    record_worst(
+        ("constrained_link_zero_disturbance", "constrained_link_zero_indistinguishability"),
+        (_round_trip(*_trips(drawn, closed), probes)
+         for drawn, probes in haar_chunks(rng, samples, 3 if closed else 4, dim)),
+    )
 
     ground2 = np.eye(2)[0]
-    identity_worst = max(
-        message_figures(build_constrained_unitary(np.eye(dim)), np.eye(dim)[0])[0],
-        *round_trip_figures([np.eye(2)] * 4, ground2),
-    )
-    record("identity_attack_zeros", identity_worst, 1e-12)
+    identity = message_figures(build_constrained_unitary(np.eye(dim)), np.eye(dim)[0])[0]
+    identity = max(identity, *round_trip_figures([np.eye(2)] * 4, ground2))
+    record("identity_attack_zeros", identity, 1e-12)
 
-    record(
-        "controlled_flip_disturbance_quarter",
-        abs(message_figures(controlled_flip_unitary(), ground2)[0] - 0.25),
-        1e-12,
-    )
-    record(
-        "swap_disturbance_half",
-        abs(message_figures(swap_unitary(), ground2)[0] - 0.5),
-        1e-12,
-    )
+    flip = message_figures(controlled_flip_unitary(), ground2)[0]
+    record("controlled_flip_disturbance_quarter", abs(flip - 0.25), 1e-12)
+    record("swap_disturbance_half", abs(message_figures(swap_unitary(), ground2)[0] - 0.5), 1e-12)
 
     scatter = tradeoff_scatter(scatter_samples, dim, seed + 1)
-    floor_violation = 0.0
-    out_of_range = 0.0
-    for disturbance, distance in scatter:
-        floor_violation = max(floor_violation, disturbance_floor(distance) - disturbance)
-        out_of_range = max(
-            out_of_range,
-            -disturbance,
-            disturbance - 1.0,
-            -distance,
-            distance - 1.0,
-        )
-    record("no_leak_without_disturbance", floor_violation, 1e-9)
-    record("outputs_in_unit_interval", out_of_range, 1e-9)
+    points = np.array(scatter)
+    disturbance, distance = points.T
+    record("no_leak_without_disturbance", (disturbance_floor(distance) - disturbance).max(), 1e-9)
+    record("outputs_in_unit_interval", np.abs(points - 0.5).max() - 0.5, 1e-9)
 
     return checks, scatter
 
 
-def disturbance_floor(distance: float) -> float:
-    """Minimum round-trip disturbance compatible with a given distinguishability."""
-    return (1.0 - np.sqrt(max(0.0, 1.0 - distance**2))) / 2.0
+def disturbance_floor(distance):
+    """Minimum round-trip disturbance compatible with a given distinguishability (elementwise)."""
+    return (1.0 - np.sqrt(np.maximum(0.0, 1.0 - distance**2))) / 2.0

@@ -9,10 +9,11 @@ An interceptor who measures the propagation mode of m out of K slots trips
 each path decoy she happens to hit with probability 1/2, so her escape
 probability is a hypergeometric average of (1/2)^hits.  This module
 computes that quantity exactly (in log space, as falling factorials of
-length min(H3, m), so in time and memory that do not grow with K), via the
-closed-form upper bound ((K - H3)/K + H3 / (2(1 - eta)K))^(eta K), via its
-large-K limits, and by Monte Carlo; and it sizes the decoy counts needed
-to push the escape probability below a target.
+length min(H3, m), so in time and memory that do not grow with K; the
+length stops at 1e6), via the closed-form upper bound
+((K - H3)/K + H3 / (2(1 - eta)K))^(eta K), via its large-K limits, and by
+Monte Carlo; and it sizes the decoy counts needed to push the escape
+probability below a target.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ _LOG_HALF = math.log(0.5)
 _CHUNK = 1 << 16  # Monte-Carlo trials, or log-factorial entries, per step
 # numpy's bound on each population of a hypergeometric draw.
 MC_POPULATION_LIMIT = 10**9
+MAX_OVERLAP = 10**6  # largest min(H3, m): the exact sum needs about 64 B per unit of it
 
 _log_fact_table = np.zeros(1)
 
@@ -228,11 +230,16 @@ def montecarlo_escape(
 
 
 def check_escape(K: int, H3: int, m_intercepted: int, trials: int | None = None) -> None:
-    """The escape functions' rules: ``1 <= K < 2**63``, ``H3`` and ``m_intercepted`` in [0, K];
-    with ``trials``, :func:`montecarlo_escape`'s: a trial at least, populations below 1e9."""
+    """The escape functions' rules: ``1 <= K < 2**63``, ``H3`` and ``m_intercepted`` in [0, K],
+    the smaller at most ``MAX_OVERLAP``; with ``trials``, :func:`montecarlo_escape`'s: a trial
+    at least, populations below 1e9."""
     check_cycles(K, 1)
     check_in("H3", H3, 0, K)
     check_in("m_intercepted", m_intercepted, 0, K)
+    n = min(H3, m_intercepted)
+    if n > MAX_OVERLAP:
+        name = "H3" if H3 == n else "m_intercepted"
+        raise InputError(name, f"must be at most {MAX_OVERLAP} as the smaller of H3 and m, got {n}")
     if trials is not None:
         check_at_least("trials", trials, 1)
         if H3 and m_intercepted and max(H3, K - H3) >= MC_POPULATION_LIMIT:

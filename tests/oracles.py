@@ -199,6 +199,28 @@ def scalar_tradeoff_scatter(samples: int, d: int, seed: int) -> list[tuple[float
     return points
 
 
+def message_figures_by_density_matrix(U: np.ndarray, probe: np.ndarray) -> tuple[float, float]:
+    """A message attack's (disturbance, leakage) from the joint density matrix.
+
+    For each preparation, U acts on |qubit> (x) |probe>; the error is the
+    weight on the orthogonal same-basis state, and the probe's state is the
+    partial trace over the qubit.  The leakage is the larger trace distance
+    of a same-basis pair, from the eigenvalues of the difference.
+    """
+    d = len(probe)
+    errors, probes = [], []
+    for basis, bit in (("Z", 0), ("Z", 1), ("X", 0), ("X", 1)):
+        joint = U @ np.kron(AMPLITUDES[(basis, bit)], probe)
+        rho = np.outer(joint, joint.conj()).reshape(2, d, 2, d)
+        wrong = AMPLITUDES[(basis, 1 - bit)]
+        errors.append(float(np.einsum("a,aibi,b->", wrong, rho, wrong).real))
+        probes.append(np.einsum("aiaj->ij", rho))
+    leakage = max(
+        float(np.abs(np.linalg.eigvalsh(probes[i] - probes[i + 1])).sum() / 2) for i in (0, 2)
+    )
+    return sum(errors) / 4, leakage
+
+
 def leak_threshold_by_scan(gamma: float, mu: float, step: float = 1e-4) -> float:
     """First loss (dB) where the uncapped leak reaches one, by dense grid scan."""
     loss = 0.0

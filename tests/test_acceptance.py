@@ -25,12 +25,10 @@ from decoyroute import (
 from decoyroute.cli import main as cli_main
 from decoyroute.constraints import (
     build_constrained_unitary,
-    constrained_link_pair,
     controlled_flip_unitary,
     disturbance_floor,
+    haar_chunks,
     message_figures,
-    random_probe,
-    random_unitary,
     round_trip_figures,
     swap_unitary,
     tradeoff_scatter,
@@ -211,16 +209,18 @@ def test_criterion_6_logarithmic_overhead():
 @criterion("criterion 7: attack-unitary constraint verification", budget_seconds=30.0)
 def test_criterion_7_constraint_verification():
     for dim in (2, 4, 8):
-        rng = np.random.default_rng(5000 + dim)
-        for _ in range(100):
-            probe = random_probe(dim, rng)
-            U = build_constrained_unitary(random_unitary(dim, rng))
-            disturbance, leakage = message_figures(U, probe)
-            assert disturbance < 1e-10
-            assert leakage < 1e-10
-            disturbance, distance = round_trip_figures(constrained_link_pair(dim, rng), probe)
-            assert disturbance < 1e-10
-            assert distance < 1e-10
+        for unitaries, probes in haar_chunks(np.random.default_rng(5000 + dim), 100, 4, dim):
+            for (W, idle_first, idle_second, leg_out), probe in zip(unitaries, probes):
+                U = build_constrained_unitary(W)
+                disturbance, leakage = message_figures(U, probe)
+                assert disturbance < 1e-10
+                assert leakage < 1e-10
+                # The return leg that satisfies leg_back @ leg_out == idle_second @ idle_first.
+                leg_back = idle_second @ idle_first @ leg_out.conj().T
+                trip = (leg_out, leg_back, idle_first, idle_second)
+                disturbance, distance = round_trip_figures(trip, probe)
+                assert disturbance < 1e-10
+                assert distance < 1e-10
 
     for disturbance, distance in tradeoff_scatter(1000, 4, seed=51):
         assert disturbance >= disturbance_floor(distance) - 1e-9

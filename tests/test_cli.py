@@ -4,6 +4,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoyroute import cli, overhead
 from decoyroute.analysis import leaked_fraction
@@ -490,6 +492,38 @@ def test_simulate_without_message_decoys_clamps_the_modelled_error():
         bound = blocks[1].splitlines()[1].split(",")[2]
         assert bound == fmt(leaked_fraction(min(0.5, d3), 0.5)), flags
         assert d3 > 0 or not flags
+
+
+def test_overhead_derived_m_stays_in_range_at_eta_one():
+    # A binary64 eta * K rounds up to 2**63 at K = 2**63 - 1 and down to K - 1 at 2**53 + 1.
+    for K in (2**63 - 1, 2**53 + 1):
+        code, text = run_cli("overhead", "--K", str(K), "--H3", "0", "--eta", "1", "--trials", "1")
+        assert code == EXIT_OK, K
+        assert text.splitlines()[1].split(",")[:3] == [str(K), "0", str(K)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(2, 2**53), st.floats(0.0, 1.0))
+def test_overhead_derived_m_is_the_rounded_rate_up_to_2_pow_53(K, eta):
+    code, text = run_cli("overhead", "--K", str(K), "--H3", "0", "--eta", repr(eta), "--trials", "1")
+    assert code == EXIT_OK
+    assert int(text.splitlines()[1].split(",")[2]) == round(eta * K)
+
+
+def test_overhead_rejects_an_overlap_past_the_cap(monkeypatch, capsys):
+    def must_not_run(*args):
+        raise AssertionError("kernel ran before the overlap check")
+
+    monkeypatch.setattr(overhead, "exact_escape_prob", must_not_run)
+    monkeypatch.setattr(overhead, "montecarlo_escape", must_not_run)
+    for argv, name in (
+        (("--K", "4000000", "--H3", "1000001", "--m", "3000000"), "H3"),
+        (("--K", "4000000", "--H3", "3000000", "--m", "1000001"), "m"),
+        (("--K", "4000000", "--H3", "3000000", "--eta", "0.5"), "m"),
+    ):
+        code, text = run_cli("overhead", *argv, "--trials", "1")
+        assert (code, text) == (EXIT_CONFIG_ERROR, ""), argv
+        assert capsys.readouterr().err.startswith(f"error: config key '{name}': "), argv
 
 
 def test_overhead_rejects_m_and_eta_together():

@@ -88,6 +88,10 @@ def command_lines(draw) -> list[str]:
 @example(["overhead", "--K=1000000000", "--H3=0", "--eta=0.5", "--trials=1"])
 @example(["overhead", f"--K={2**63}", "--H3=0", "--eta=0.75", "--trials=1"])
 @example(["overhead", "--K=1" + "0" * 400, "--H3=0", "--trials=1"])
+# A binary64 eta * K past 2**53 lands outside [0, K] unless clamped.
+@example(["overhead", f"--K={2**63 - 1}", "--H3=0", "--eta=1", "--trials=1"])
+# An overlap min(H3, m) just past its cap of 1e6.
+@example(["overhead", "--K=4000000", "--H3=1000001", "--m=1000001", "--trials=1"])
 @example(["verify", "--dim=33"])
 def test_cli_exits_0_1_or_2_and_names_the_key_at_fault(argv):
     err = io.StringIO()

@@ -1,14 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from decoyroute import constraints
 from decoyroute.constraints import (
     build_constrained_unitary,
-    constrained_link_pair,
     controlled_flip_unitary,
     disturbance_floor,
+    haar_chunks,
     message_figures,
-    random_probe,
     random_unitary,
     round_trip_figures,
     run_verification,
@@ -26,6 +27,12 @@ def identity_trip(dim: int) -> list[np.ndarray]:
 
 def ground(dim: int) -> np.ndarray:
     return np.eye(dim)[0]
+
+
+def draws(seed: int, samples: int, k: int, dim: int):
+    """The sampler's draws one sample at a time: (k unitaries, probe)."""
+    for unitaries, probes in haar_chunks(np.random.default_rng(seed), samples, k, dim):
+        yield from zip(unitaries, probes)
 
 
 def test_identity_attack_is_invisible():
@@ -90,10 +97,8 @@ def test_dimension_mismatch_rejected():
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
 def test_constrained_message_unitaries_are_silent(dim):
-    rng = np.random.default_rng(dim)
-    for _ in range(30):
-        U = build_constrained_unitary(random_unitary(dim, rng))
-        disturbance, leakage = message_figures(U, random_probe(dim, rng))
+    for (W,), probe in draws(dim, 30, 1, dim):
+        disturbance, leakage = message_figures(build_constrained_unitary(W), probe)
         assert disturbance <= 1e-10
         assert leakage <= 1e-10
 
@@ -102,17 +107,18 @@ def test_diagonal_phase_rotations_are_silent():
     rng = np.random.default_rng(17)
     phases = np.exp(2j * np.pi * rng.random(4))
     U = build_constrained_unitary(np.diag(phases))
-    disturbance, leakage = message_figures(U, random_probe(4, rng))
+    [(_, probe)] = draws(18, 1, 1, 4)
+    disturbance, leakage = message_figures(U, probe)
     assert disturbance <= 1e-12
     assert leakage <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
 def test_constrained_link_pairs_are_silent(dim):
-    rng = np.random.default_rng(100 + dim)
-    for _ in range(30):
+    for (idle_first, idle_second, leg_out), probe in draws(100 + dim, 30, 3, dim):
+        leg_back = idle_second @ idle_first @ leg_out.conj().T
         disturbance, distance = round_trip_figures(
-            constrained_link_pair(dim, rng), random_probe(dim, rng)
+            (leg_out, leg_back, idle_first, idle_second), probe
         )
         assert disturbance <= 1e-10
         assert distance <= 1e-10
@@ -138,10 +144,10 @@ def test_no_leak_without_disturbance_inequality():
 
 
 def test_scatter_checks_its_haar_samples(monkeypatch):
-    def doubled(real, imag):
-        return 2 * np.broadcast_to(np.eye(real.shape[-1]), real.shape)
+    def doubled(normals):
+        return 2 * np.broadcast_to(np.eye(normals.shape[-1]), normals[..., 0, :, :].shape)
 
-    monkeypatch.setattr(constraints, "_haar_unitaries", doubled)
+    monkeypatch.setattr(constraints, "random_unitary", doubled)
     with pytest.raises(ValueError, match="Haar sample is not unitary"):
         tradeoff_scatter(3, 2, seed=0)
 
@@ -160,8 +166,80 @@ def test_scatter_matches_the_per_sample_loop():
 def test_scatter_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     # 1030 samples leave a partial last chunk at every size.
     expected = tradeoff_scatter(1030, 3, seed=4)
-    monkeypatch.setattr(constraints, "_SCATTER_CHUNK", chunk)
+    monkeypatch.setattr(constraints, "_CHUNK_ENTRIES", chunk * 4 * 3 * 3)
     assert tradeoff_scatter(1030, 3, seed=4) == expected
+
+
+def test_stacked_kernels_match_the_one_sample_figures():
+    # Each sample of a stack scores bitwise as it does alone.
+    rng = np.random.default_rng(7)
+    for dim in (2, 3, 8):
+        probes = rng.normal(size=(20, dim)) + 1j * rng.normal(size=(20, dim))
+        probes /= np.linalg.norm(probes, axis=-1, keepdims=True)
+        attacks = random_unitary(rng.normal(size=(20, 2, 2 * dim, 2 * dim)))
+        stacked = zip(*(figure.tolist() for figure in constraints._message(attacks, probes)))
+        assert list(stacked) == [message_figures(U, p) for U, p in zip(attacks, probes)]
+        trips = random_unitary(rng.normal(size=(4, 20, 2, dim, dim)))
+        stacked = zip(*(figure.tolist() for figure in constraints._round_trip(*trips, probes)))
+        expected = [round_trip_figures(trip, p) for trip, p in zip(zip(*trips), probes)]
+        assert list(stacked) == expected
+
+
+def test_message_figures_match_the_density_matrix_oracle():
+    rng = np.random.default_rng(8)
+    for dim in (2, 3, 5):
+        for U in random_unitary(rng.normal(size=(10, 2, 2 * dim, 2 * dim))):
+            probe = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            probe /= np.linalg.norm(probe)
+            expected = oracles.message_figures_by_density_matrix(U, probe)
+            assert message_figures(U, probe) == pytest.approx(expected, abs=1e-12)
+
+
+SAMPLED_CHECKS = [
+    ("_message", 0, "constrained_message_zero_disturbance"),
+    ("_message", 1, "constrained_message_zero_leakage"),
+    ("_round_trip", 0, "constrained_link_zero_disturbance"),
+    ("_round_trip", 1, "constrained_link_zero_indistinguishability"),
+]
+
+
+@pytest.mark.parametrize("kernel, figure, name", SAMPLED_CHECKS)
+def test_a_bad_sample_in_the_last_partial_chunk_fails_its_check(monkeypatch, kernel, figure, name):
+    # At d = 2 a chunk of 48 entries holds 12 message or 4 link samples, so 25
+    # samples end in a one-sample chunk; its sample is scored bad.
+    samples, scored, planted = 25, 0, []
+    score = getattr(constraints, kernel)
+
+    def with_a_bad_last_sample(*args):
+        nonlocal scored
+        figures = score(*args)
+        scored += len(figures[0])
+        if scored == samples:  # the sampled family's last chunk; later calls count past it
+            planted.append(len(figures[0]))
+            figures[figure][-1] = 0.5
+        return figures
+
+    monkeypatch.setattr(constraints, "_CHUNK_ENTRIES", 48)
+    monkeypatch.setattr(constraints, kernel, with_a_bad_last_sample)
+    checks, _ = run_verification(dim=2, samples=samples, scatter_samples=3, seed=2)
+    assert planted == [1]
+    assert [check.name for check in checks if not check.passed] == [name]
+
+
+def test_run_verification_memory_is_flat_in_samples(monkeypatch):
+    # 64 message samples a chunk at d = 8, so both sizes span several chunks;
+    # keeping each sample's figures would add 40 KB at 2560 samples.
+    monkeypatch.setattr(constraints, "_CHUNK_ENTRIES", 64 * 8 * 8)
+    run_verification(dim=8, samples=2, scatter_samples=1)
+    peaks = []
+    for samples in (256, 2560):
+        tracemalloc.start()
+        try:
+            run_verification(dim=8, samples=samples, scatter_samples=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.01 * peaks[0], peaks
 
 
 def test_trace_distance_basics():
@@ -173,7 +251,7 @@ def test_trace_distance_basics():
 
 def test_run_verification_all_pass():
     checks, scatter = run_verification(dim=3, samples=25, scatter_samples=50, seed=1)
-    assert all(check.passed for check in checks)
+    assert all(check.passed is True for check in checks)
     assert len(scatter) == 50
 
 
@@ -190,8 +268,11 @@ def test_run_verification_negative_control_fails():
 def test_random_unitary_is_unitary():
     rng = np.random.default_rng(0)
     for dim in (2, 5, 9):
-        U = random_unitary(dim, rng)
+        U = random_unitary(rng.normal(size=(2, dim, dim)))
         assert np.abs(U.conj().T @ U - np.eye(dim)).max() < 1e-12
+        stack = random_unitary(rng.normal(size=(3, 2, 2, dim, dim)))
+        assert stack.shape == (3, 2, dim, dim)
+        assert np.abs(np.swapaxes(stack.conj(), -1, -2) @ stack - np.eye(dim)).max() < 1e-12
 
 
 @pytest.mark.parametrize("name", ["dim", "samples", "scatter_samples"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoyroute import overhead
+from decoyroute.errors import InputError
 from decoyroute.overhead import (
     alpha_for,
     asymptotic_bound,
@@ -144,6 +145,23 @@ def test_exact_escape_validates_inputs():
         exact_escape_prob(10, 11, 5)
     with pytest.raises(ValueError):
         exact_escape_prob(10, 5, 11)
+
+
+def test_escape_functions_cap_the_overlap_and_name_the_smaller_count(monkeypatch):
+    # Memory grows with n = min(H3, m), about 64 B a unit, so n stops at 1e6.
+    monkeypatch.setattr(overhead, "_log_factorials", None)  # the exact sum may not start
+    n = overhead.MAX_OVERLAP + 1
+    for K, H3, m, name in ((4 * n, n, 2 * n, "H3"), (4 * n, 2 * n, n, "m_intercepted"),
+                           (2 * n, n, n, "H3")):
+        for call in (
+            lambda: exact_escape_prob(K, H3, m),
+            lambda: montecarlo_escape(K, H3, m, trials=1, seed=0),
+        ):
+            with pytest.raises(InputError, match=f"^{name} must be at most 1000000 ") as error:
+                call()
+            assert error.value.name == name
+    overhead.check_escape(4 * n, n - 1, 3 * n)  # at the cap
+    overhead.check_escape(4 * n, 0, 4 * n)  # H3 = 0 leaves no overlap
 
 
 def test_bound_escape_value():
