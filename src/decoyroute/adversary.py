@@ -16,16 +16,18 @@ message-decoy slot they disturb the bit exactly as an intercept-resend does
 in BB84.
 
 Qubits are plain ``(bit, z)`` pairs, as in :mod:`decoyroute.quantum`.  The
-kernels here take the uniforms they consume, and their rates unchecked:
-:class:`AttackConfig` checks them once, when the run is configured.
+kernels here take the uniforms they consume and work elementwise, and take
+their rates unchecked: :class:`AttackConfig` checks them once, when the run
+is configured.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from .errors import InputError, check_at_least, check_in
 from .quantum import measure_qubit
@@ -68,17 +70,53 @@ class AttackConfig:
         return self.eta_msg if self.mode in (AttackMode.MESSAGE, AttackMode.BOTH) else 0.0
 
 
+class Rows:
+    """An append-only table of int64 rows, packed a block per append: 8 bytes a cell.
+
+    It reads as a sequence of tuples of Python ints: ``len``, iteration,
+    and ``==`` against another table or a list of tuples.
+    """
+
+    __slots__ = ("_blocks", "_count")
+
+    def __init__(self) -> None:
+        self._blocks: list[np.ndarray] = []
+        self._count = 0
+
+    def append(self, *columns) -> None:
+        """Add rows whose i-th cells are ``columns[i]``; a scalar column repeats down the rows."""
+        block = np.stack(np.broadcast_arrays(*map(np.atleast_1d, columns)), axis=1)
+        if len(block):
+            self._blocks.append(block.astype(np.int64, copy=False))
+            self._count += len(block)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        for block in self._blocks:
+            yield from map(tuple, block.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Rows, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Rows({list(self)!r})"
+
+
 @dataclass
 class EveLedger:
     """Append-only record of Eve's interceptions within one run.
 
     ``learned_endpoints`` holds ``(cycle, sender, receiver)`` per mode
     measurement, ``learned_bits`` holds ``(cycle, bit, z)`` per content
-    measurement: the bit she observed and whether she measured in Z.
+    measurement: the bit she observed and whether she measured in Z (1 or 0).
     """
 
-    learned_endpoints: list[tuple[int, int, int]] = field(default_factory=list)
-    learned_bits: list[tuple[int, int, bool]] = field(default_factory=list)
+    learned_endpoints: Rows = field(default_factory=Rows)
+    learned_bits: Rows = field(default_factory=Rows)
 
 
 @dataclass
@@ -97,32 +135,31 @@ def decide_intercept(rate: float, u):
     return u < rate
 
 
-def intercept_message(bit: int, z: bool, draw: Callable[[], float]) -> tuple[int, bool]:
+def intercept_message(bit, z, basis_u, coin, flip):
     """Measure the qubit ``(bit, z)`` in a uniformly chosen basis and resend the outcome.
 
     Returns the eigenstate Eve observed, ``(eve_bit, eve_z)``: both what she
     records and the qubit she resends.  With a matching basis the resend is
     transparent; with the conjugate basis the resent state is uncorrelated
     with the original, which is what trips the message-decoy check
-    downstream.  ``draw`` returns Eve's next uniform: one for her basis,
-    then one for a matched measurement or two for a mismatched one, so a
-    tap reads 2 or 3 uniforms.  Only a message attack taps, one slot at a
-    time.
+    downstream.  The uniform ``basis_u`` picks her basis (Z below 1/2).  A
+    matched measurement then reads one uniform, which its caller passes as
+    both ``coin`` and ``flip``; a mismatched one reads two, so a tap reads 2
+    or 3 uniforms in all.
     """
-    eve_z = draw() < 0.5
-    coin = draw()
-    flip = draw() if eve_z != z else coin
-    return int(measure_qubit(bit, z, eve_z, 0.0, coin, flip)), eve_z
+    eve_z = basis_u < 0.5
+    return measure_qubit(bit, z, eve_z, 0.0, coin, flip), eve_z
 
 
-def intercept_path(ledger: EveLedger, cycle: int, sender: int, receiver: int) -> None:
+def intercept_path(ledger: EveLedger, cycle, sender: int, receiver: int) -> None:
     """Measure a round trip's propagation mode, recording its cycle and endpoints.
 
     A single-mode packet's label is classical, so reading it leaves the
     packet undisturbed.  A path packet's superposition is destroyed: the
     later interference readout at the origin then turns into a coin flip.
+    ``cycle`` may be an array of round trips, recorded in its order.
     """
-    ledger.learned_endpoints.append((cycle, sender, receiver))
+    ledger.learned_endpoints.append(cycle, sender, receiver)
 
 
 def learned_traffic_fraction(learned: int, total: int) -> float:

@@ -95,13 +95,16 @@ def random_unitary(normals: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., np.newaxis, :]
 
 
-def haar_chunks(rng: np.random.Generator, samples: int, k: int, dim: int):
+def haar_chunks(
+    rng: np.random.Generator, samples: int, k: int, dim: int, held: int | None = None
+):
     """``samples`` draws in unchecked chunks ``(unitaries, probes)``, (n, k, dim, dim) and
     (n, dim): per sample k Haar unitaries, then a unit probe, each real parts first.  A
-    chunk is one normal block of about ``_CHUNK_ENTRIES`` unitary entries, read in that
-    order, so the draws do not depend on the chunk size."""
+    chunk is one normal block of samples that hold about ``_CHUNK_ENTRIES`` matrix entries
+    in all, ``held`` per sample in the caller's check or else its k dim^2 unitary entries.
+    Its normals are read in that order, so the draws do not depend on the chunk size."""
     size = 2 * k * dim * dim
-    per_chunk = max(1, _CHUNK_ENTRIES // (k * dim * dim))
+    per_chunk = max(1, _CHUNK_ENTRIES // (held or k * dim * dim))
     for done in range(0, samples, per_chunk):
         normals = rng.normal(size=(min(per_chunk, samples - done), size + 2 * dim))
         probes = normals[:, size : size + dim] + 1j * normals[:, size + dim :]
@@ -248,17 +251,20 @@ def run_verification(
         for name, value in zip(names, worst):
             record(name, value, 1e-10)
 
-    # diag(W, W) is unitary exactly when W is, which build_constrained_unitary checks.
+    # Chunks are sized by what a sample's check holds.  The message check holds diag(W, W),
+    # four probe states and two differences, 10 d^2 entries; diag(W, W) is unitary exactly
+    # when W is, which build_constrained_unitary checks.
     record_worst(
         ("constrained_message_zero_disturbance", "constrained_message_zero_leakage"),
         (_message(build_constrained_unitary(W[:, 0]), probes)
-         for W, probes in haar_chunks(rng, samples, 1, dim)),
+         for W, probes in haar_chunks(rng, samples, 1, dim, held=10 * dim * dim)),
     )
-    closed = enforce_return_constraint
+    # The link check holds its k unitaries, their adjoints and products: 3 k d^2 entries.
+    k = 3 if enforce_return_constraint else 4
     record_worst(
         ("constrained_link_zero_disturbance", "constrained_link_zero_indistinguishability"),
-        (_round_trip(*_trips(drawn, closed), probes)
-         for drawn, probes in haar_chunks(rng, samples, 3 if closed else 4, dim)),
+        (_round_trip(*_trips(drawn, enforce_return_constraint), probes)
+         for drawn, probes in haar_chunks(rng, samples, k, dim, held=3 * k * dim * dim)),
     )
 
     ground2 = np.eye(2)[0]

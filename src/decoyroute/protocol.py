@@ -14,31 +14,31 @@ After the run, each pair turns its decoy tallies into disturbance
 estimates and compares them against thresholds; exceeding either one
 flags an eavesdropper.
 
-The decoy runners are composed of the kernels in :mod:`~decoyroute.quantum`,
+The slot runners are composed of the kernels in :mod:`~decoyroute.quantum`,
 :mod:`~decoyroute.channel` and :mod:`~decoyroute.adversary`, which take
 the uniforms they consume and work elementwise on floats or arrays.
 
-A pair's slots run on one of two engines, chosen by the attack alone.
-Without a message attack (effective ``message_rate`` 0) every slot reads
-a fixed number of uniforms from each stream, so the chunk engine
-(:func:`_run_pair_by_chunk`) draws a block per stream for up to
-``SLOT_CHUNK`` slots and calls the decoy runners once per chunk on arrays.
-A message attack makes the draw counts depend on the data (Eve's extra
-uniforms per tap, the receiver's extra coin after a mismatched resend), so
-those runs keep the per-slot loop (:func:`_run_pair_by_slot`), which calls
-the same runners with floats; moving them to chunks needs a fixed draw
-layout per slot (ROADMAP item 2), which changes every seeded output, and
-a benchmark that does not count per-slot runner calls (item 1).  Both
-engines give the same results, ledger and CSV bytes for the same run.  The
-payload runner of the per-slot loop reads its stream draws inline, but it
-draws exactly what the kernels would; ``tests/oracles.py`` keeps the
-composed payload slot and the tests pin the two to equal draws and results.
+One engine runs every pair (:func:`_run_pair_by_chunk`).  A pair reads
+three streams, channel, measurement and eve, in slot order, and each chunk
+of up to ``SLOT_CHUNK`` slots draws one block per stream and scores its
+slots on arrays.  A slot reads 2 channel uniforms and 3 measurement
+uniforms for a payload or 4 for a decoy.  It reads 2 of Eve's uniforms,
+plus 2 or 3 for a message tap, as her basis matches the qubit's or not; a
+Type 2 decoy she resent in the other basis that arrives reads one more
+measurement uniform for the receiver's flip.  So without a message attack
+every offset is a running count over the slots before.  With one, the
+engine first walks Eve's block slot by slot (:func:`_walk_eve`, whose
+payload step is :func:`run_type1_slot`) to find where each slot's uniforms
+start, and then scores the chunk on arrays all the same.
+``tests/oracles.py`` keeps the scalar per-slot loop that reads every
+uniform in turn; the tests hold the engine to it in every result, ledger
+row and CSV byte.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,58 +120,6 @@ class DisturbanceStats:
         return self.type3_errors / self.type3_trials
 
 
-DRAW_BLOCK = 1024  # doubles per refill: about 32 KB of Python floats per stream
-
-
-class BlockDraws:
-    """Serves ``generator.random()`` values in order, from blocks of ``DRAW_BLOCK``."""
-
-    __slots__ = ("random",)
-
-    def __init__(self, generator: np.random.Generator) -> None:
-        blocks = iter(lambda: generator.random(DRAW_BLOCK).tolist(), None)
-        self.random = itertools.chain.from_iterable(blocks).__next__
-
-
-class ColumnDraws:
-    """Serves one draw for each of many slots per call.
-
-    The k-th ``random()`` returns ``block[first + k]``: the k-th uniform
-    of every slot whose first uniform sits at ``first`` in ``block``.
-    """
-
-    __slots__ = ("random",)
-
-    def __init__(self, block: np.ndarray, first: np.ndarray) -> None:
-        self.random = (block.take(first + k) for k in itertools.count()).__next__
-
-
-@dataclass
-class Streams:
-    """Per-subsystem draw sources for one simulated pair, or for a batch of slots.
-
-    The slot runners call only ``random()`` on each field, so a field may
-    be a raw ``np.random.Generator`` or the :class:`BlockDraws` that
-    :meth:`from_seed` wraps around it; both give the same values in the
-    same order, since PCG64 yields one double per 64-bit output.  A block
-    source reads ahead of the run by up to one block, which nothing
-    observes because its generator is never read again after the run.  The
-    chunk engine passes :class:`ColumnDraws` instead, one column per call.
-    """
-
-    channel: BlockDraws | ColumnDraws | np.random.Generator
-    measurement: BlockDraws | ColumnDraws | np.random.Generator
-    eve: BlockDraws | ColumnDraws | np.random.Generator
-
-    @classmethod
-    def from_seed(cls, root_seed: int, pair_index: int = 0) -> "Streams":
-        return cls(
-            channel=BlockDraws(seeding.stream_rng(root_seed, "channel", pair_index)),
-            measurement=BlockDraws(seeding.stream_rng(root_seed, "measurement", pair_index)),
-            eve=BlockDraws(seeding.stream_rng(root_seed, "eve", pair_index)),
-        )
-
-
 def max_decoys_per_pair(K: int) -> int:
     # Each decoy occupies its cycle plus the next (return packet), so a
     # pair's reserved cycles must be pairwise non-adjacent.
@@ -238,105 +186,50 @@ def generate_schedule(
     return Schedule(K=K, assignments=assignments, shared_seed=shared_seed)
 
 
-def _tap_message(cycle, qubit, eve: Eavesdropper, draws):
-    """Eve's content decision for one round trip; returns the qubit as it travels on.
+def run_type1_slot(cycle: int, at: int, eve_u: Sequence[float], message_rate: float) -> int:
+    """Eve's step over the payload round trip at ``cycle``: where the next slot's uniforms start.
 
-    Its uniform is drawn every transaction, so the eavesdropper stream
-    stays aligned across attack modes.  Without a message attack nothing
-    is tapped, which lets arrays of slots through unchanged.
+    The round trip's uniforms start at ``at`` in ``eve_u``: her path and
+    message decisions, then, when she taps the Z-basis payload qubit, her
+    basis and one more uniform, or two if she measures in X (see
+    :func:`~decoyroute.adversary.intercept_message`).  ``cycle`` names the
+    round trip, but Eve's draws alone set the step; the engine scores the
+    payloads on arrays after the walk.
     """
-    u = draws.random()
-    if eve.config.message_rate > 0 and decide_intercept(eve.config.message_rate, u):
-        qubit = intercept_message(*qubit, draws.random)
-        eve.ledger.learned_bits.append((cycle, *qubit))
-    return qubit
+    if eve_u[at + 1] < message_rate:
+        return at + (4 if eve_u[at + 2] < 0.5 else 5)
+    return at + 2
 
 
-def run_type1_slot(
-    cycle: int,
-    sender: int,
-    receiver: int,
-    payload_bit: int,
-    channel: ChannelModel,
-    eve: Eavesdropper,
-    streams: Streams,
-) -> tuple[bool, bool]:
-    """One payload round trip: a Z-basis qubit out, dummy back.
+def run_type2_slot(sent_bit, z, qubit, channel: ChannelModel, link_u, coin, flip):
+    """Message-integrity decoys; returns which erred.
 
-    Returns whether the payload was delivered and whether Eve learned its
-    endpoints.  Payloads are most of a run's slots, so this runner reads
-    its draws inline instead of calling the slot kernels, but it draws
-    exactly what they would, in the same order and from the same streams;
-    ``tests/oracles.py::type1_slot_reference`` composes the kernels and
-    the tests hold the two equal.
+    The sender prepared ``sent_bit`` in the Z basis where ``z``, else X, and
+    ``qubit`` is what crosses the link: Eve's resend where she tapped it,
+    else the sent qubit.  The uniform ``link_u`` decides its transmission.
+    The receiver measures in the scheduled basis: ``coin`` is a lost
+    photon's coin, or an arrived one's outcome coin, and ``flip`` its flip
+    draw, which is ``coin`` itself unless the qubit arrived in the other
+    basis.  Elementwise, like the kernels.
     """
-    eve_draw = streams.eve.random
-    path_hit = eve_draw() < eve.config.path_rate
-    if eve_draw() < eve.config.message_rate:
-        # intercept_message: Eve's basis, her outcome on a basis mismatch,
-        # then measure_qubit's flip draw, which never flips at flip_prob 0.
-        eve_z = eve_draw() < 0.5
-        bit = payload_bit if eve_z else int(eve_draw() < 0.5)
-        eve_draw()
-        eve.ledger.learned_bits.append((cycle, bit, eve_z))
-    if path_hit:
-        eve.ledger.learned_endpoints.append((cycle, sender, receiver))
-    channel_draw = streams.channel.random
-    delivered = channel_draw() < channel.T
-    # The dummy return: its basis and bit, then its transmission.
-    streams.measurement.random()
-    streams.measurement.random()
-    channel_draw()
-    return delivered, path_hit
-
-
-def run_type2_slot(cycle, z, channel: ChannelModel, eve: Eavesdropper, streams: Streams):
-    """One message-integrity decoy in the Z basis where ``z``, else X; returns whether it erred.
-
-    Eve's mode decision for the round trip is the caller's: it leaves the
-    qubit alone.  Without a message attack the runner is elementwise, so
-    ``cycle`` and ``z`` may be arrays of decoys drawn from
-    :class:`ColumnDraws`.
-    """
-    measurement = streams.measurement.random
-    sent_bit = measurement() < 0.5
-    bit, qubit_z = _tap_message(cycle, (sent_bit, z), eve, streams.eve)
-    transmitted = transmit(channel.T, streams.channel.random())
-    # The uniform u is a lost photon's coin or a delivered one's flip draw.  A
-    # photon Eve resent in the other basis reads u as the coin and one more
-    # uniform as the flip draw; only a message attack does that, and it runs
-    # one slot at a time.
-    u = measurement()
-    mismatched = eve.config.message_rate > 0 and transmitted and qubit_z != z
-    flip = measurement() if mismatched else u
-    measured = where(transmitted, measure_qubit(bit, qubit_z, z, channel.mu, u, flip), u < 0.5)
-
-    # Dummy return.  Content is discarded; drawing its basis and bit and
-    # transmitting it keeps the wire pattern and the stream consumption
-    # identical across slot types.
-    measurement()
-    measurement()
-    transmit(channel.T, streams.channel.random())
+    transmitted = transmit(channel.T, link_u)
+    measured = where(transmitted, measure_qubit(*qubit, z, channel.mu, coin, flip), coin < 0.5)
     return measured != sent_bit
 
 
-def run_type3_slot(cycle, path_hit, channel: ChannelModel, eve: Eavesdropper, streams: Streams):
-    """One path-integrity decoy; returns whether it erred.
+def run_type3_slot(sign, path_hit, channel: ChannelModel, out_u, back_u, readout_u):
+    """Path-integrity decoys sent with ``sign``; returns which erred.
 
-    ``path_hit`` is Eve's mode decision for the round trip, made by the
-    caller.  Elementwise like :func:`run_type2_slot`.
+    ``path_hit`` is Eve's mode decision for each round trip.  A content
+    tap touches only the dummy payload, not the mode.  The uniforms decide
+    the two legs' transmissions and the interference readout.
     """
-    measurement = streams.measurement.random
-    sign, dummy = prepare_path_packet(measurement(), measurement(), measurement())
-    # A content tap touches only the dummy payload, not the mode.
-    _tap_message(cycle, dummy, eve, streams.eve)
-
     # Ideal resend hardware: interception leaves survival untouched, but a
     # mode measurement destroys the superposition.
-    out_leg = transmit(channel.T, streams.channel.random())
-    back_leg = transmit(channel.T, streams.channel.random())
+    out_leg = transmit(channel.T, out_u)
+    back_leg = transmit(channel.T, back_u)
     intact = out_leg & back_leg & (path_hit ^ True)  # ^ True: not, elementwise
-    return interfere_path_packet(sign, intact, channel.gamma, measurement()) != sign
+    return interfere_path_packet(sign, intact, channel.gamma, readout_u) != sign
 
 
 def detect_eavesdropper(
@@ -377,68 +270,62 @@ PairTally = tuple[DisturbanceStats, int, int, int]
 """A pair's decoy counters, payload slots, delivered payloads and payloads Eve traced."""
 
 
-def _run_pair_by_slot(
-    K: int,
-    sender: int,
-    receiver: int,
-    decoys: PairSchedule,
-    channel: ChannelModel,
-    eve: Eavesdropper,
-    seed: int,
-    pair_index: int,
-    traffic: str,
-) -> PairTally:
-    """Run one pair's slots in cycle order, one runner call per slot."""
-    streams = Streams.from_seed(seed, pair_index)
-    stats = DisturbanceStats()
-    type1_slots = 0
-    type1_delivered = 0
-    learned_type1 = 0
+SLOT_CHUNK = 1 << 13  # slots per chunk: at most 5 * SLOT_CHUNK uniforms per block
 
-    def run_payloads(stop: int) -> None:
-        # Greedy payload round trips from the first free cycle, one
-        # every two cycles, each forward cycle before ``stop``.
-        nonlocal type1_slots, type1_delivered, learned_type1
-        cycles = range(free, stop, 2)
-        draw_bit = streams.measurement.random
-        run_slot = run_type1_slot  # read per gap, so a wrapped global is seen
-        delivered_sum = learned_sum = 0
-        for cycle in cycles:
-            delivered, learned = run_slot(
-                cycle, sender, receiver, int(draw_bit() < 0.5), channel, eve, streams
-            )
-            delivered_sum += delivered
-            learned_sum += learned
-        type1_slots += len(cycles)
-        type1_delivered += delivered_sum
-        learned_type1 += learned_sum
 
-    free = 0
-    path_rate, eve_draw = eve.config.path_rate, streams.eve.random
-    for cycle, is_type2, z_basis in zip(
-        decoys.cycle.tolist(), decoys.type2.tolist(), decoys.z_basis.tolist()
+def _refill(generator: np.random.Generator, rest: np.ndarray, size: int) -> np.ndarray:
+    """The stream's next uniforms from ``rest`` on, topped up from ``generator`` to ``size``.
+
+    ``Generator.random(n)`` returns the same values as n scalar draws, so a
+    block may end past what a chunk reads; the next chunk starts at ``rest``.
+    """
+    short = size - len(rest)
+    if short <= 0:
+        return rest
+    fresh = generator.random(short)
+    return np.concatenate((rest, fresh)) if len(rest) else fresh
+
+
+def _walk_eve(eve_u, meas, forward, at, type2, z_basis, decoy_cycles, first_cycle, size, rate):
+    """Where each slot of a chunk starts in Eve's block, and which Type 2 decoys read a flip.
+
+    Returns ``size + 1`` offsets into ``eve_u`` (the last one past the
+    chunk) and the chunk's Type 2 decoys, by index, that Eve resent in the
+    other basis and that arrived (``forward``): their receiver reads one
+    more measurement uniform.  A payload steps by :func:`run_type1_slot`,
+    and a decoy by the same rule with its qubit's basis: a Type 2 decoy's
+    scheduled one, or a Type 3 decoy's dummy basis, its second measurement
+    uniform, whose offset moves with each flagged decoy before it.
+    """
+    u, meas = memoryview(eve_u), memoryview(meas)  # single floats, no block conversion
+    starts: list[int] = []
+    mark = starts.append
+    step = run_type1_slot  # read per chunk, so a wrapped global is seen
+    flagged: list[int] = []
+    e = slot = 0
+    cycle = first_cycle
+    for j, (q, is_type2, z, decoy_cycle) in enumerate(
+        zip(at.tolist(), type2.tolist(), z_basis.tolist(), decoy_cycles.tolist())
     ):
-        if traffic == "full":
-            # A payload's return may not land on the decoy's cycle.
-            run_payloads(cycle - 1)
-        # Eve decides on a round trip before its slot type shows.
-        path_hit = decide_intercept(path_rate, eve_draw())
-        if path_hit:
-            intercept_path(eve.ledger, cycle, sender, receiver)
-        if is_type2:
-            stats.type2_trials += 1
-            stats.type2_errors += run_type2_slot(cycle, z_basis, channel, eve, streams)
+        for payload_cycle in range(cycle, cycle + 2 * (q - slot), 2):
+            mark(e)
+            e = step(payload_cycle, e, u, rate)
+        mark(e)
+        if u[e + 1] < rate:
+            if not is_type2:
+                z = meas[3 * q + j + len(flagged) + 1] < 0.5
+            mismatch = (u[e + 2] < 0.5) != z
+            if mismatch and is_type2 and forward[q]:
+                flagged.append(j)
+            e += 4 + mismatch
         else:
-            stats.type3_trials += 1
-            stats.type3_errors += run_type3_slot(cycle, path_hit, channel, eve, streams)
-        free = cycle + 2
-    if traffic == "full":
-        # The last payload's return may fall on cycle K.
-        run_payloads(K)
-    return stats, type1_slots, type1_delivered, learned_type1
-
-
-SLOT_CHUNK = 1 << 13  # slots per chunk: at most 512 KB of uniforms
+            e += 2
+        slot, cycle = q + 1, decoy_cycle + 2
+    for payload_cycle in range(cycle, cycle + 2 * (size - slot), 2):
+        mark(e)
+        e = step(payload_cycle, e, u, rate)
+    mark(e)
+    return np.array(starts), np.array(flagged, dtype=np.intp)
 
 
 def _run_pair_by_chunk(
@@ -452,15 +339,12 @@ def _run_pair_by_chunk(
     pair_index: int,
     traffic: str,
 ) -> PairTally:
-    """:func:`_run_pair_by_slot`'s tally for a run without a message attack, by chunks of slots.
+    """One pair's tally, by chunks of up to ``SLOT_CHUNK`` slots in cycle order.
 
-    Without a message attack every slot reads 2 channel and 2 eve
-    uniforms, and 3 measurement uniforms for a payload or 4 for a decoy,
-    so a slot's offset in each stream is a running count over the slots
-    before it.  ``Generator.random(n)`` returns the same values as n
-    scalar draws, so each chunk of up to ``SLOT_CHUNK`` slots draws one
-    block per stream and applies the Type 1/2/3 rules to arrays.  Memory
-    is O(SLOT_CHUNK + decoys) whatever K is.
+    Each chunk draws a block per stream, walks Eve's block when there is a
+    message attack (:func:`_walk_eve`), and then runs every slot type's
+    rules on arrays.  Memory is O(SLOT_CHUNK + decoys) whatever K is, plus
+    the ledger rows.
     """
     cycles = decoys.cycle
     ordinal = np.arange(len(cycles))  # each decoy's slot
@@ -471,64 +355,98 @@ def _run_pair_by_chunk(
         ordinal += np.cumsum((cycles - free[:-1]) // 2)
         tail = max(0, (K - int(free[-1]) + 1) // 2)
     slots = (int(ordinal[-1]) + 1 if len(ordinal) else 0) + tail
+    # A slot's cycle follows from the last decoy at or before it, or from a
+    # decoy before the first at cycle -2: payloads come every two cycles after it.
+    anchor_cycle = np.concatenate(([-2], cycles))
+    anchor_ordinal = np.concatenate(([-1], ordinal))
+
+    def cycle_of(slot):
+        last = np.searchsorted(ordinal, slot, side="right")
+        return anchor_cycle.take(last) + 2 * (slot - anchor_ordinal.take(last))
 
     channel_rng, measurement_rng, eve_rng = (
         seeding.stream_rng(seed, name, pair_index) for name in ("channel", "measurement", "eve")
     )
+    rate = eve.config.message_rate
+    eve_u = meas = np.empty(0)
     stats = DisturbanceStats()
     type1_slots = type1_delivered = learned_type1 = 0
     for start in range(0, slots, SLOT_CHUNK):
         size = min(SLOT_CHUNK, slots - start)
         lo, hi = np.searchsorted(ordinal, (start, start + size)).tolist()
         at = ordinal[lo:hi] - start  # the chunk's decoys, by position in the chunk
+        type2 = decoys.type2[lo:hi]
         chan = channel_rng.random(2 * size)
-        eve_u = eve_rng.random(2 * size)
-        meas = measurement_rng.random(3 * size + hi - lo)
+        forward = transmit(channel.T, chan[::2])  # every round trip's forward leg
+        eve_u = _refill(eve_rng, eve_u, (5 if rate else 2) * size)
+        flag_bound = int(np.count_nonzero(type2)) if rate else 0
+        meas = _refill(measurement_rng, meas, 3 * size + hi - lo + flag_bound)
+        # A slot's first measurement uniform: 3 per payload before it, 4 per decoy, 5 if flagged.
+        if rate:
+            starts, flagged = _walk_eve(
+                eve_u, meas, forward, at, type2, decoys.z_basis[lo:hi], cycles[lo:hi],
+                int(cycle_of(start)), size, rate,
+            )
+            reads = np.zeros(size, dtype=np.int64)
+            reads[at] = 1
+            reads[at[flagged]] = 2
+            first_meas = 3 * np.arange(size) + np.cumsum(reads) - reads
+            m = first_meas[at]
+        else:
+            starts, flagged = np.arange(0, 2 * size + 1, 2), np.empty(0, dtype=np.intp)
+            m = 3 * at + np.arange(hi - lo)
 
         # Eve decides on every round trip before its slot type shows.
-        path_hit = decide_intercept(eve.config.path_rate, eve_u[::2])
+        path_hit = decide_intercept(eve.config.path_rate, eve_u[starts[:-1]])
         if path_hit.any():
-            # A slot's cycle follows from the last decoy at or before it, or
-            # from a decoy before the first at cycle -2: payloads come every
-            # two cycles after it.
-            hit = start + np.flatnonzero(path_hit)
-            last = np.searchsorted(ordinal, hit, side="right")
-            anchor_cycle = np.concatenate(([-2], cycles)).take(last)
-            anchor_ordinal = np.concatenate(([-1], ordinal)).take(last)
-            hit_cycles = anchor_cycle + 2 * (hit - anchor_ordinal)
-            # The entries intercept_path records, one per tapped round trip.
-            eve.ledger.learned_endpoints.extend(
-                zip(hit_cycles.tolist(), itertools.repeat(sender), itertools.repeat(receiver))
-            )
-
+            hit_cycles = cycle_of(start + np.flatnonzero(path_hit))
+            intercept_path(eve.ledger, hit_cycles, sender, receiver)
         payload = np.ones(size, dtype=bool)
         payload[at] = False
         type1_slots += size - (hi - lo)
-        type1_delivered += int(np.count_nonzero(transmit(channel.T, chan[::2][payload])))
+        type1_delivered += int(np.count_nonzero(forward[payload]))
         learned_type1 += int(np.count_nonzero(path_hit[payload]))
 
-        # A decoy's measurement uniforms follow 3 per payload and 4 per decoy before it.
-        first_meas = 3 * at + np.arange(hi - lo)
-
-        def columns(kind: np.ndarray) -> Streams:
-            rows = at.take(kind)
-            return Streams(
-                channel=ColumnDraws(chan, 2 * rows),
-                measurement=ColumnDraws(meas, first_meas.take(kind)),
-                eve=ColumnDraws(eve_u, 2 * rows + 1),  # the message decision's uniform
+        # The qubit each decoy sends: a Type 2 decoy's bit in its scheduled
+        # basis, a Type 3 decoy's dummy riding on its path packet.
+        kind2, kind3 = np.flatnonzero(type2), np.flatnonzero(~type2)
+        m3 = m[kind3]
+        sign, (dummy_bit, dummy_z) = prepare_path_packet(meas[m3], meas[m3 + 1], meas[m3 + 2])
+        sent = meas[m[kind2]] < 0.5
+        z = decoys.z_basis[lo:hi][kind2]
+        qubit = (sent, z)
+        if rate:
+            # Eve's content taps, of every slot type at once: a payload sends its bit in Z.
+            bits = meas[first_meas] < 0.5
+            bases = np.ones(size, dtype=bool)
+            bases[at[kind2]] = z
+            bits[at[kind3]], bases[at[kind3]] = dummy_bit, dummy_z
+            tapped = np.flatnonzero(np.diff(starts) > 2)
+            first = starts[tapped] + 2  # her basis uniform; the flip is the tap's last
+            bits[tapped], bases[tapped] = intercept_message(
+                bits[tapped], bases[tapped], eve_u[first], eve_u[first + 1],
+                eve_u[starts[tapped + 1] - 1],
             )
+            eve.ledger.learned_bits.append(cycle_of(start + tapped), bits[tapped], bases[tapped])
+            qubit = (bits[at[kind2]], bases[at[kind2]])
 
-        type2 = decoys.type2[lo:hi]
-        kind = np.flatnonzero(type2)
-        z = decoys.z_basis[lo:hi].take(kind)
-        errors = run_type2_slot(cycles[lo:hi].take(kind), z, channel, eve, columns(kind))
-        stats.type2_trials += len(kind)
+        # A flagged decoy's receiver reads its flip after the coin.
+        coin = meas[m + 1]
+        flip = coin.copy()
+        flip[flagged] = meas[m[flagged] + 2]
+        errors = run_type2_slot(
+            sent, z, qubit, channel, chan[2 * at[kind2]], coin[kind2], flip[kind2]
+        )
+        stats.type2_trials += len(kind2)
         stats.type2_errors += int(np.count_nonzero(errors))
-        kind = np.flatnonzero(~type2)
-        tapped = path_hit.take(at.take(kind))
-        errors = run_type3_slot(cycles[lo:hi].take(kind), tapped, channel, eve, columns(kind))
-        stats.type3_trials += len(kind)
+        at3 = at[kind3]
+        errors = run_type3_slot(
+            sign, path_hit[at3], channel, chan[2 * at3], chan[2 * at3 + 1], meas[m3 + 3]
+        )
+        stats.type3_trials += len(kind3)
         stats.type3_errors += int(np.count_nonzero(errors))
+        eve_u = eve_u[starts[-1]:]
+        meas = meas[3 * size + hi - lo + len(flagged):]
     return stats, type1_slots, type1_delivered, learned_type1
 
 
@@ -613,11 +531,9 @@ def run_simulation(
         threshold2 = auto2 if threshold2 is None else threshold2
         threshold3 = auto3 if threshold3 is None else threshold3
 
-    # The message rate alone picks the engine; both give the same bytes.
-    run_pair = _run_pair_by_slot if attack.message_rate > 0 else _run_pair_by_chunk
     pair_results: list[PairResult] = []
     for pair_index, (sender, receiver) in enumerate(node_pairs):
-        tally = run_pair(
+        tally = _run_pair_by_chunk(
             K, sender, receiver, schedule.for_pair(sender, receiver),
             channel, eve, seed, pair_index, traffic,
         )

@@ -6,21 +6,25 @@ code paths under test.  Two exceptions check only what is built around
 the library's kernels.  ``scalar_tradeoff_scatter`` draws its own
 unitaries and probes one sample at a time, and then calls the library's
 per-sample kernels, so it checks only the batching around them.
-``type1_slot_reference`` composes the library's slot kernels into a
-payload round trip, so it checks only that the inline payload runner
-draws and records what those kernels would.
+``run_pair_by_slot`` runs a pair one slot at a time, reading every uniform
+in turn and scoring it with the library's kernels and slot runners on
+floats, so it checks the chunk engine's offsets, walk and chunking.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from decoyroute import seeding
 from decoyroute.adversary import decide_intercept, intercept_message, intercept_path
 from decoyroute.channel import transmit
+from decoyroute.protocol import DisturbanceStats, run_type2_slot, run_type3_slot
+from decoyroute.quantum import prepare_path_packet
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -297,22 +301,142 @@ def binomial_tolerance(p: float, n: int, n_sigma: float = 4.0) -> float:
     return n_sigma * math.sqrt(p * (1.0 - p) / n)
 
 
-def type1_slot_reference(cycle, sender, receiver, payload_bit, channel, eve, streams):
-    """One payload round trip composed of the slot kernels; ``run_type1_slot``'s contract.
+DRAW_BLOCK = 1024  # doubles per refill
 
-    Eve's path and message decisions, her tap of the Z-basis payload qubit,
-    the payload's transmission, then the dummy return: its basis and bit
-    from the measurement stream and its transmission.
+
+class BlockDraws:
+    """Serves ``generator.random()`` values in order, from blocks of ``DRAW_BLOCK``."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, generator: np.random.Generator) -> None:
+        blocks = iter(lambda: generator.random(DRAW_BLOCK).tolist(), None)
+        self.random = itertools.chain.from_iterable(blocks).__next__
+
+
+@dataclass
+class Streams:
+    """A pair's three draw sources; each field needs only ``random()``.
+
+    A field is a raw ``np.random.Generator`` or the :class:`BlockDraws`
+    that :meth:`from_seed` wraps around one: both give the same values in
+    the same order, since PCG64 yields one double per 64-bit output.
+    """
+
+    channel: BlockDraws | np.random.Generator
+    measurement: BlockDraws | np.random.Generator
+    eve: BlockDraws | np.random.Generator
+
+    @classmethod
+    def from_seed(cls, root_seed: int, pair_index: int = 0) -> "Streams":
+        return cls(**{
+            name: BlockDraws(seeding.stream_rng(root_seed, name, pair_index))
+            for name in ("channel", "measurement", "eve")
+        })
+
+
+def intercept_by_draws(bit, z, draw):
+    """``intercept_message`` on Eve's next uniforms: her basis, a coin, and a flip if the bases
+    differ."""
+    basis_u, coin = draw(), draw()
+    flip = draw() if (basis_u < 0.5) != z else coin
+    return intercept_message(bit, z, basis_u, coin, flip)
+
+
+def tap_reference(cycle, qubit, eve, draws):
+    """Eve's content decision for one round trip and her tap; returns the qubit that travels on."""
+    if decide_intercept(eve.config.message_rate, draws.random()):
+        qubit = intercept_by_draws(*qubit, draws.random)
+        eve.ledger.learned_bits.append(cycle, *qubit)
+    return qubit
+
+
+def type1_slot_reference(cycle, sender, receiver, payload_bit, channel, eve, streams):
+    """One payload round trip: Eve's decisions and tap, the payload's transmission, the return.
+
+    Returns whether the payload was delivered and whether Eve learned its
+    endpoints.  The dummy return draws its basis and bit from the
+    measurement stream and its transmission from the channel stream.
     """
     path_hit = decide_intercept(eve.config.path_rate, streams.eve.random())
-    msg_hit = decide_intercept(eve.config.message_rate, streams.eve.random())
+    tap_reference(cycle, (payload_bit, True), eve, streams.eve)
     if path_hit:
         intercept_path(eve.ledger, cycle, sender, receiver)
-    if msg_hit:
-        eve_bit, eve_z = intercept_message(payload_bit, True, streams.eve.random)
-        eve.ledger.learned_bits.append((cycle, eve_bit, eve_z))
     delivered = transmit(channel.T, streams.channel.random())
     streams.measurement.random()
     streams.measurement.random()
     transmit(channel.T, streams.channel.random())
     return delivered, path_hit
+
+
+def type2_slot_reference(cycle, z, channel, eve, streams):
+    """One message-integrity decoy after Eve's mode decision; returns whether it erred."""
+    measurement = streams.measurement.random
+    sent_bit = measurement() < 0.5
+    qubit = tap_reference(cycle, (sent_bit, z), eve, streams.eve)
+    link_u = streams.channel.random()
+    coin = measurement()
+    # A photon Eve resent in the other basis reads one more uniform for its flip.
+    flip = measurement() if transmit(channel.T, link_u) and qubit[1] != z else coin
+    error = run_type2_slot(sent_bit, z, qubit, channel, link_u, coin, flip)
+    # The dummy return: its basis and bit, then its transmission.
+    measurement()
+    measurement()
+    transmit(channel.T, streams.channel.random())
+    return error
+
+
+def type3_slot_reference(cycle, path_hit, channel, eve, streams):
+    """One path-integrity decoy after Eve's mode decision ``path_hit``; returns if it erred."""
+    measurement = streams.measurement.random
+    sign, dummy = prepare_path_packet(measurement(), measurement(), measurement())
+    tap_reference(cycle, dummy, eve, streams.eve)
+    out_u, back_u = streams.channel.random(), streams.channel.random()
+    return run_type3_slot(sign, path_hit, channel, out_u, back_u, measurement())
+
+
+def run_pair_by_slot(K, sender, receiver, decoys, channel, eve, seed, pair_index, traffic,
+                     streams=None):
+    """``protocol._run_pair_by_chunk``'s tally, one slot at a time in cycle order.
+
+    Reads ``Streams.from_seed(seed, pair_index)`` unless ``streams`` is given.
+    """
+    streams = streams or Streams.from_seed(seed, pair_index)
+    stats = DisturbanceStats()
+    type1_slots = type1_delivered = learned_type1 = 0
+    free = 0
+
+    def run_payloads(stop):
+        # Greedy payload round trips from the first free cycle, one every
+        # two cycles, each forward cycle before ``stop``.
+        nonlocal type1_slots, type1_delivered, learned_type1
+        for cycle in range(free, stop, 2):
+            payload_bit = int(streams.measurement.random() < 0.5)
+            delivered, learned = type1_slot_reference(
+                cycle, sender, receiver, payload_bit, channel, eve, streams
+            )
+            type1_slots += 1
+            type1_delivered += delivered
+            learned_type1 += learned
+
+    for cycle, is_type2, z_basis in zip(
+        decoys.cycle.tolist(), decoys.type2.tolist(), decoys.z_basis.tolist()
+    ):
+        if traffic == "full":
+            # A payload's return may not land on the decoy's cycle.
+            run_payloads(cycle - 1)
+        # Eve decides on a round trip before its slot type shows.
+        path_hit = decide_intercept(eve.config.path_rate, streams.eve.random())
+        if path_hit:
+            intercept_path(eve.ledger, cycle, sender, receiver)
+        if is_type2:
+            stats.type2_trials += 1
+            stats.type2_errors += type2_slot_reference(cycle, z_basis, channel, eve, streams)
+        else:
+            stats.type3_trials += 1
+            stats.type3_errors += type3_slot_reference(cycle, path_hit, channel, eve, streams)
+        free = cycle + 2
+    if traffic == "full":
+        # The last payload's return may fall on cycle K.
+        run_payloads(K)
+    return stats, type1_slots, type1_delivered, learned_type1

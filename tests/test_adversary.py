@@ -6,13 +6,13 @@ from decoyroute.adversary import (
     AttackMode,
     Eavesdropper,
     EveLedger,
+    Rows,
     decide_intercept,
     intercept_message,
     intercept_path,
     learned_traffic_fraction,
 )
 from decoyroute.channel import ChannelModel
-from decoyroute.protocol import Streams, run_type1_slot
 from decoyroute.quantum import interfere_path_packet, measure_qubit, prepare_path_packet
 
 import oracles
@@ -42,7 +42,7 @@ def test_decide_intercept_rejects_bad_rate():
 def test_matching_basis_interception_is_transparent():
     rng = np.random.default_rng(2)
     for _ in range(400):
-        eve_bit, eve_z = intercept_message(0, True, rng.random)
+        eve_bit, eve_z = oracles.intercept_by_draws(0, True, rng.random)
         if eve_z:
             assert eve_bit == 0
 
@@ -50,11 +50,24 @@ def test_matching_basis_interception_is_transparent():
 def test_cross_basis_interception_randomizes():
     rng = np.random.default_rng(3)
     cross_bits = [
-        bit for _ in range(20_000) for bit, z in [intercept_message(0, True, rng.random)] if not z
+        bit
+        for _ in range(20_000)
+        for bit, z in [oracles.intercept_by_draws(0, True, rng.random)]
+        if not z
     ]
     assert len(cross_bits) > 9000
     frequency = sum(cross_bits) / len(cross_bits)
     assert frequency == pytest.approx(0.5, abs=oracles.binomial_tolerance(0.5, len(cross_bits)))
+
+
+def test_intercept_message_is_elementwise():
+    rng = np.random.default_rng(6)
+    bit, z = rng.random(200) < 0.5, rng.random(200) < 0.5
+    basis_u, coin, flip = rng.random((3, 200))
+    eve_bit, eve_z = intercept_message(bit, z, basis_u, coin, flip)
+    for i in range(200):
+        one = intercept_message(bit[i], z[i], basis_u[i], coin[i], flip[i])
+        assert one == (eve_bit[i], eve_z[i])
 
 
 def test_downstream_error_rate_matches_enumeration_oracle():
@@ -68,7 +81,7 @@ def test_downstream_error_rate_matches_enumeration_oracle():
     for i in range(n):
         z = bool(i % 2)
         bit = (i // 2) % 2
-        resent = intercept_message(bit, z, rng.random)
+        resent = oracles.intercept_by_draws(bit, z, rng.random)
         errors += measure_qubit(*resent, z, 0.0, rng.random(), rng.random()) != bit
     assert errors / n == pytest.approx(expected, abs=oracles.binomial_tolerance(expected, n))
 
@@ -114,8 +127,22 @@ def test_attack_config_rejects_a_string_mode():
 
 def test_ledger_records_endpoints_and_bits():
     eve = Eavesdropper(AttackConfig(mode=AttackMode.BOTH, eta_path=1.0, eta_msg=1.0))
-    run_type1_slot(4, 0, 1, 1, ChannelModel(), eve, Streams.from_seed(0))
+    oracles.type1_slot_reference(4, 0, 1, 1, ChannelModel(), eve, oracles.Streams.from_seed(0))
     assert eve.ledger.learned_endpoints == [(4, 0, 1)]
     [(cycle, bit, z)] = eve.ledger.learned_bits
     # A Z-basis measurement of the Z-basis payload reads its bit.
-    assert cycle == 4 and isinstance(z, bool) and (bit == 1 or not z)
+    assert cycle == 4 and z in (0, 1) and (bit == 1 or not z)
+
+
+def test_rows_are_packed_and_read_as_int_tuples():
+    rows = Rows()
+    rows.append(np.array([7, 9]), 0, np.array([True, False]))
+    rows.append(np.empty(0, dtype=np.int64), 1, 1)  # no rows: nothing is stored
+    rows.append(11, 2, 3)
+    assert len(rows) == 3 and len(rows._blocks) == 2
+    assert rows == [(7, 0, 1), (9, 0, 0), (11, 2, 3)]
+    assert all(type(cell) is int for row in rows for cell in row)
+    assert sum(block.nbytes for block in rows._blocks) == 24 * len(rows)
+    same = Rows()
+    same.append(np.array([7, 9, 11]), np.array([0, 0, 2]), np.array([1, 0, 3]))
+    assert rows == same and rows != Rows() and Rows() == []

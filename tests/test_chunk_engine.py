@@ -1,9 +1,9 @@
 """The chunk engine against the per-slot loop, its memory, and the escape law.
 
-Without a message attack ``run_simulation`` runs each pair on the chunk
-engine; with one, on the per-slot loop.  Patching the chunk engine to the
-per-slot loop runs the same config both ways, and the two must agree
-exactly: every ``PairResult`` field, Eve's ledger and the CSV bytes.
+``run_simulation`` runs every pair on the chunk engine.  Patching it to
+the scalar per-slot loop of ``oracles`` runs the same config both ways,
+and the two must agree exactly: every ``PairResult`` field, Eve's ledger
+and the CSV bytes.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def simulate(argv: list[str], *, per_slot: bool, chunk: int) -> tuple[str, proto
         patch.setattr(cli, "run_simulation", recorded)
         patch.setattr(protocol, "SLOT_CHUNK", chunk)
         if per_slot:
-            patch.setattr(protocol, "_run_pair_by_chunk", protocol._run_pair_by_slot)
+            patch.setattr(protocol, "_run_pair_by_chunk", oracles.run_pair_by_slot)
         out = io.StringIO()
         assert cli.main(argv, stdout=out) == 0, argv
     (result,) = results
@@ -52,13 +52,11 @@ def runs(draw) -> tuple[list[str], int]:
     H3 = draw(st.integers(0, cap - H2))
     unit = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
     mode = draw(st.sampled_from(list(AttackMode)))
-    # MESSAGE and BOTH take eta_msg = 0; NONE and PATH ignore any eta_msg.
-    eta_msg = 0.0 if mode in (AttackMode.MESSAGE, AttackMode.BOTH) else draw(unit)
     pairs = PAIRS[: draw(st.integers(1, len(PAIRS)))]
     argv = [
         "simulate", f"--K={K}", f"--H2={H2}", f"--H3={H3}",
         f"--T={draw(unit)!r}", f"--gamma={draw(unit)!r}", f"--mu={draw(unit)!r}",
-        f"--attack={mode.value}", f"--eta-path={draw(unit)!r}", f"--eta-msg={eta_msg!r}",
+        f"--attack={mode.value}", f"--eta-path={draw(unit)!r}", f"--eta-msg={draw(unit)!r}",
         f"--traffic={draw(st.sampled_from(['full', 'silent']))}",
         "--num-nodes=3", f"--pairs={','.join(pairs)}",
         f"--seed={draw(st.integers(0, 2**32))}",
@@ -78,6 +76,8 @@ def runs(draw) -> tuple[list[str], int]:
 @given(runs())
 @example((["simulate", "--K=300", "--H2=40", "--H3=40", "--attack=path", "--eta-path=0.5",
            "--T=0.8", "--gamma=0.05", "--mu=0.05", "--seed=3"], 7))
+@example((["simulate", "--K=300", "--H2=60", "--H3=60", "--attack=both", "--eta-path=0.5",
+           "--eta-msg=1.0", "--T=0.8", "--gamma=0.05", "--mu=0.05", "--seed=3"], 3))
 def test_chunk_engine_equals_the_per_slot_loop(case):
     argv, chunk = case
     csv, chunked = simulate(argv, per_slot=False, chunk=chunk)
@@ -88,20 +88,22 @@ def test_chunk_engine_equals_the_per_slot_loop(case):
     for pair in chunked.pairs:
         fields = (pair.type1_slots, pair.type1_delivered, pair.eve_learned_type1)
         assert all(type(value) is int for value in fields + tuple(vars(pair.stats).values()))
-    for entry in chunked.eavesdropper.ledger.learned_endpoints:
+    ledger = chunked.eavesdropper.ledger
+    for entry in [*ledger.learned_endpoints, *ledger.learned_bits]:
         assert all(type(value) is int for value in entry)
 
 
 def test_chunk_engine_equals_the_per_slot_loop_at_scale():
-    # Several full chunks, a path attack, loss and noise: every outcome kind occurs.
+    # Several full chunks, both attacks, loss and noise: every outcome kind occurs.
     argv = ["simulate", "--K=300000", "--H2=20000", "--H3=20000", "--T=0.8", "--gamma=0.05",
-            "--mu=0.05", "--attack=path", "--eta-path=0.3", "--seed=11"]
+            "--mu=0.05", "--attack=both", "--eta-path=0.3", "--eta-msg=0.3", "--seed=11"]
     csv, chunked = simulate(argv, per_slot=False, chunk=protocol.SLOT_CHUNK)
     csv_by_slot, by_slot = simulate(argv, per_slot=True, chunk=protocol.SLOT_CHUNK)
     assert csv == csv_by_slot
     assert chunked.pairs == by_slot.pairs
     assert chunked.eavesdropper.ledger == by_slot.eavesdropper.ledger
     assert len(chunked.eavesdropper.ledger.learned_endpoints) > 40_000
+    assert len(chunked.eavesdropper.ledger.learned_bits) > 40_000
 
 
 def test_a_message_attack_runs_every_payload_through_the_slot_runner(monkeypatch):
@@ -129,24 +131,33 @@ def test_a_message_attack_runs_every_payload_through_the_slot_runner(monkeypatch
     assert [p.type1_slots for p in quiet.pairs] == payloads
 
 
-def _peak_bytes(K: int) -> int:
+def _peak_bytes(K: int, attack: AttackConfig) -> tuple[int, int]:
+    """The tracemalloc peak of one run, and the rows of its ledger."""
     tracemalloc.start()
     try:
-        run_simulation(
+        result = run_simulation(
             K=K, h2_per_pair=1000, h3_per_pair=1000, channel=ChannelModel(T=0.9, gamma=0.01),
-            attack=AttackConfig(), seed=8, traffic="full",
+            attack=attack, seed=8, traffic="full",
         )
-        return tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    ledger = result.eavesdropper.ledger
+    return peak, len(ledger.learned_endpoints) + len(ledger.learned_bits)
 
 
 def test_run_simulation_memory_does_not_grow_with_K():
-    # Ten times the cycles, the same chunk-sized working set (about 0.7 MB
-    # each).  A first run takes the one-time set-up out of the comparison.
-    _peak_bytes(20_000)
-    small, large = _peak_bytes(200_000), _peak_bytes(2_000_000)
-    assert large - small <= 1 << 20, (small, large)
+    # Ten times the cycles, the same chunk-sized working set (about 1 MB
+    # without an attack), Eve's blocks and their carry-over included under
+    # both attacks; only the ledger grows, by 24 bytes a packed row.  A
+    # first run takes the one-time set-up out of the comparison.
+    for attack in (AttackConfig(), AttackConfig(mode=AttackMode.BOTH, eta_path=0.5, eta_msg=0.5)):
+        _peak_bytes(20_000, attack)
+        (small, small_rows), (large, large_rows) = (
+            _peak_bytes(K, attack) for K in (200_000, 2_000_000)
+        )
+        allowed = 24 * (large_rows - small_rows) + (1 << 20)
+        assert large - small <= allowed, (attack, small, large, allowed)
 
 
 # Family-wise false-failure probability of the two escape-law checks.

@@ -205,8 +205,9 @@ SAMPLED_CHECKS = [
 
 @pytest.mark.parametrize("kernel, figure, name", SAMPLED_CHECKS)
 def test_a_bad_sample_in_the_last_partial_chunk_fails_its_check(monkeypatch, kernel, figure, name):
-    # At d = 2 a chunk of 48 entries holds 12 message or 4 link samples, so 25
-    # samples end in a one-sample chunk; its sample is scored bad.
+    # At d = 2 a chunk of 144 entries holds 3 message samples (40 entries each)
+    # or 4 link samples (36 each), so 25 samples end in a one-sample chunk; its
+    # sample is scored bad.
     samples, scored, planted = 25, 0, []
     score = getattr(constraints, kernel)
 
@@ -219,26 +220,39 @@ def test_a_bad_sample_in_the_last_partial_chunk_fails_its_check(monkeypatch, ker
             figures[figure][-1] = 0.5
         return figures
 
-    monkeypatch.setattr(constraints, "_CHUNK_ENTRIES", 48)
+    monkeypatch.setattr(constraints, "_CHUNK_ENTRIES", 144)
     monkeypatch.setattr(constraints, kernel, with_a_bad_last_sample)
     checks, _ = run_verification(dim=2, samples=samples, scatter_samples=3, seed=2)
     assert planted == [1]
     assert [check.name for check in checks if not check.passed] == [name]
 
 
-def test_run_verification_memory_is_flat_in_samples(monkeypatch):
-    # 64 message samples a chunk at d = 8, so both sizes span several chunks;
-    # keeping each sample's figures would add 40 KB at 2560 samples.
-    monkeypatch.setattr(constraints, "_CHUNK_ENTRIES", 64 * 8 * 8)
+def _verification_peaks(sizes) -> list[int]:
+    """The tracemalloc peak of ``run_verification(dim=8, scatter_samples=1)`` per sample count."""
     run_verification(dim=8, samples=2, scatter_samples=1)
     peaks = []
-    for samples in (256, 2560):
+    for samples in sizes:
         tracemalloc.start()
         try:
             run_verification(dim=8, samples=samples, scatter_samples=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+def test_run_verification_chunks_hold_their_budget():
+    # At the default budget a message chunk holds 102 samples at d = 8 and a
+    # link chunk 113, so 256 samples span three chunks of each and 2560 many more.
+    small, large = _verification_peaks((256, 2560))
+    assert large - small <= 1 << 20, (small, large)
+
+
+def test_run_verification_memory_is_flat_in_samples(monkeypatch):
+    # 64 message samples a chunk at d = 8, so both sizes span several chunks;
+    # keeping each sample's figures would add 40 KB at 2560 samples.
+    monkeypatch.setattr(constraints, "_CHUNK_ENTRIES", 64 * 10 * 8 * 8)
+    peaks = _verification_peaks((256, 2560))
     assert peaks[1] <= 1.01 * peaks[0], peaks
 
 

@@ -2,10 +2,13 @@
 
 - Appending a node pair leaves the rows of the pairs before it byte-identical:
   each pair's schedule and streams are keyed by its own index.  Checked with
-  no attack and a path attack (the chunk engine) and with both attacks (the
-  per-slot loop, which a message rate above zero selects).
+  no attack, a path attack and both attacks (the last walks Eve's draws).
 - ``--attack none`` ignores the rates: any ``--eta-path``/``--eta-msg`` prints
   the same bytes as rates of zero.
+- A lossless, noiseless link without an attack makes no decoy err: every pair
+  reports 0 Type 2 and 0 Type 3 errors, whatever the draws.
+- Without a message attack, the path rate moves no Type 2 error and no
+  delivered payload: a path tap reads no channel or measurement uniform.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import io
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from decoyroute.adversary import AttackConfig, AttackMode
+from decoyroute.channel import ChannelModel
 from decoyroute.cli import EXIT_OK, main
-from decoyroute.protocol import max_decoys_per_pair
+from decoyroute.protocol import max_decoys_per_pair, run_simulation
 
 SETTINGS = settings(
     derandomize=True,
@@ -83,3 +88,45 @@ def test_no_attack_ignores_the_rates(flags, pairs, eta_path, eta_msg):
     rated = simulate(*flags, listed, "--attack=none", f"--eta-path={eta_path!r}",
                      f"--eta-msg={eta_msg!r}")
     assert rated == simulate(*flags, listed, "--attack=none", "--eta-path=0", "--eta-msg=0")
+
+
+@SETTINGS
+@given(runs(), node_pairs)
+def test_a_perfect_link_without_an_attack_makes_no_decoy_err(flags, pairs):
+    listed = f"--pairs={','.join(f'{a}-{b}' for a, b in pairs)}"
+    text = simulate(*flags, listed, "--T=1", "--gamma=0", "--mu=0", "--attack=none")
+    rows = text.split("\n\n")[0].splitlines()
+    header = rows[0].split(",")
+    errors = [header.index("type2_errors"), header.index("type3_errors")]
+    assert len(rows) == len(pairs) + 1
+    for row in rows[1:]:
+        cells = row.split(",")
+        assert [cells[i] for i in errors] == ["0", "0"], row
+
+
+@SETTINGS
+@given(
+    runs(),
+    node_pairs,
+    st.sampled_from([AttackMode.PATH, AttackMode.BOTH]),
+    st.lists(unit, min_size=2, max_size=2),
+)
+def test_the_path_rate_moves_no_type2_error_and_no_delivery(flags, pairs, mode, eta_paths):
+    # The library run of the same flags: the CSV has no delivered-payload column.
+    value = dict(flag[2:].split("=") for flag in flags)
+    kwargs = dict(
+        K=int(value["K"]), node_pairs=pairs, h2_per_pair=int(value["H2"]),
+        h3_per_pair=int(value["H3"]), seed=int(value["seed"]), traffic=value["traffic"],
+        channel=ChannelModel(T=float(value["T"]), gamma=float(value["gamma"]),
+                             mu=float(value["mu"])),
+    )
+    outcomes = [
+        [
+            (pair.stats.type2_errors, pair.type1_delivered)
+            for pair in run_simulation(
+                attack=AttackConfig(mode=mode, eta_path=eta_path, eta_msg=0.0), **kwargs
+            ).pairs
+        ]
+        for eta_path in eta_paths
+    ]
+    assert outcomes[0] == outcomes[1]

@@ -2,55 +2,35 @@ import numpy as np
 import pytest
 
 from decoyroute import protocol, seeding
-from decoyroute.adversary import AttackConfig, AttackMode, Eavesdropper, decide_intercept
+from decoyroute.adversary import AttackConfig, AttackMode, Eavesdropper
 from decoyroute.analysis import baseline_disturbance
 from decoyroute.channel import ChannelModel
 from decoyroute.protocol import (
-    DRAW_BLOCK,
     DisturbanceStats,
     PairSchedule,
-    Streams,
     detect_eavesdropper,
     generate_schedule,
     run_simulation,
     run_type1_slot,
-    run_type2_slot,
-    run_type3_slot,
 )
 
 import oracles
 
 NO_LOSS = ChannelModel(T=1.0, gamma=0.0, mu=0.0)
+NO_DECOYS = PairSchedule(np.empty(0, dtype=np.int64), *[np.empty(0, dtype=bool)] * 2)
 
 
-def make_streams(seed: int) -> Streams:
-    return Streams.from_seed(seed)
+def run_decoy_slots(type2, channel, attack, n, seed):
+    """``n`` decoys of one type on cycles 0, 2, 4, ..., through the engine.
 
-
-def run_decoy_slots(type2, channel, attack, n, seed, streams=None):
-    """``n`` decoys of one type, one slot at a time as the per-slot loop runs them.
-
-    Eve's mode decision comes first, then the runner; returns the tallies,
-    each slot's error and Eve's ledger.
+    Type 2 decoys alternate X and Z.  The pair reads the streams of
+    ``seed``; returns the tallies and Eve's ledger.
     """
     eve = Eavesdropper(attack)
-    streams = streams or make_streams(seed)
-    stats = DisturbanceStats()
-    errors = []
-    for i in range(n):
-        path_hit = decide_intercept(attack.path_rate, streams.eve.random())
-        if path_hit:
-            eve.ledger.learned_endpoints.append((2 * i, 0, 1))
-        if type2:
-            error = run_type2_slot(2 * i, bool(i % 2), channel, eve, streams)
-            stats.type2_trials += 1
-            stats.type2_errors += error
-        else:
-            error = run_type3_slot(2 * i, path_hit, channel, eve, streams)
-            stats.type3_trials += 1
-            stats.type3_errors += error
-        errors.append(error)
-    return stats, errors, eve.ledger
+    odd = np.arange(n) % 2 == 1
+    decoys = PairSchedule(2 * np.arange(n), np.full(n, type2), odd & type2)
+    stats = protocol._run_pair_by_chunk(2 * n, 0, 1, decoys, channel, eve, seed, 0, "silent")[0]
+    return stats, eve.ledger
 
 
 class TestGenerateSchedule:
@@ -145,28 +125,30 @@ class TestGenerateSchedule:
         assert sum(np.count_nonzero(p.type2) for p in schedule.assignments.values()) == 4
 
 
+def run_payloads(n, channel, attack, seed):
+    """``n`` payloads on cycles 0, 2, 4, ... and no decoy, through the engine."""
+    result = run_simulation(
+        K=2 * n, h2_per_pair=0, h3_per_pair=0, channel=channel, attack=attack, seed=seed
+    )
+    return result.pairs[0], result.eavesdropper.ledger
+
+
 class TestType1Slot:
     def test_no_loss_no_eve(self):
-        eve = Eavesdropper(AttackConfig())
-        delivered, learned = run_type1_slot(0, 0, 1, 1, NO_LOSS, eve, make_streams(0))
+        pair, _ = run_payloads(1, NO_LOSS, AttackConfig(), 0)
+        delivered, learned = pair.type1_delivered, pair.eve_learned_type1
         assert delivered and not learned
 
     def test_full_path_attack_reads_every_slot(self):
-        eve = Eavesdropper(AttackConfig(mode=AttackMode.PATH, eta_path=1.0))
-        streams = make_streams(1)
-        for cycle in range(0, 200, 2):
-            _, learned = run_type1_slot(cycle, 0, 1, 0, NO_LOSS, eve, streams)
-            assert learned
-        assert eve.ledger.learned_endpoints == [(cycle, 0, 1) for cycle in range(0, 200, 2)]
+        attack = AttackConfig(mode=AttackMode.PATH, eta_path=1.0)
+        pair, ledger = run_payloads(100, NO_LOSS, attack, 1)
+        assert pair.eve_learned_type1 == pair.type1_slots == 100
+        assert ledger.learned_endpoints == [(cycle, 0, 1) for cycle in range(0, 200, 2)]
 
     def test_delivery_frequency_matches_transmissivity(self):
         channel = ChannelModel(T=0.6457, gamma=0.0, mu=0.0)
-        eve = Eavesdropper(AttackConfig())
-        streams = make_streams(2)
         n = 100_000
-        delivered = sum(
-            run_type1_slot(2 * i, 0, 1, 0, channel, eve, streams)[0] for i in range(n)
-        )
+        delivered = run_payloads(n, channel, AttackConfig(), 2)[0].type1_delivered
         assert delivered / n == pytest.approx(0.6457, abs=oracles.binomial_tolerance(0.6457, n))
 
 
@@ -334,10 +316,15 @@ STREAM_NAMES = ("channel", "measurement", "eve")
 @pytest.mark.parametrize("pair_index", [0, 5])
 @pytest.mark.parametrize("name", STREAM_NAMES)
 def test_block_draws_equal_scalar_draws(name, pair_index):
-    n = 3 * DRAW_BLOCK + 17
-    source = getattr(Streams.from_seed(31, pair_index), name)
+    # The per-slot oracle's block draws are the stream's scalar draws.
+    n = 3 * oracles.DRAW_BLOCK + 17
+    source = getattr(oracles.Streams.from_seed(31, pair_index), name)
     drawn = [source.random() for _ in range(n)]
     assert drawn == seeding.stream_rng(31, name, pair_index).random(n).tolist()
+
+
+def raw_streams(seed: int) -> oracles.Streams:
+    return oracles.Streams(**{name: seeding.stream_rng(seed, name) for name in STREAM_NAMES})
 
 
 @pytest.mark.parametrize("block_draws", [True, False], ids=["from_seed", "raw"])
@@ -347,50 +334,53 @@ def test_block_draws_equal_scalar_draws(name, pair_index):
 def test_inline_payload_runner_draws_what_the_kernels_draw(
     mode, eta_path, eta_msg, T, block_draws
 ):
+    # 3000 payloads through the engine, whose walk steps by run_type1_slot,
+    # against the slot kernels composed one payload at a time.
     channel = ChannelModel(T=T, gamma=0.05, mu=0.03)
     attack = AttackConfig(mode=mode, eta_path=eta_path, eta_msg=eta_msg)
-    runs = []
-    for runner in (run_type1_slot, oracles.type1_slot_reference):
-        if block_draws:
-            streams = Streams.from_seed(43)
-        else:
-            streams = Streams(**{name: seeding.stream_rng(43, name) for name in STREAM_NAMES})
-        eve = Eavesdropper(attack)
-        results = [
-            runner(2 * i, 0, 1, int(streams.measurement.random() < 0.5), channel, eve, streams)
-            for i in range(3000)
-        ]
-        next_draws = [getattr(streams, name).random() for name in STREAM_NAMES]
-        runs.append((results, eve.ledger, next_draws))
+    n = 3000
+    pair, ledger = run_payloads(n, channel, attack, 43)
+    draws = {name: seeding.stream_rng(43, name).random(5 * n + 3) for name in STREAM_NAMES}
+    at = 0
+    for cycle in range(0, 2 * n, 2):
+        at = run_type1_slot(cycle, at, draws["eve"], attack.message_rate)
+    next_draws = [draws["channel"][2 * n], draws["measurement"][3 * n], draws["eve"][at]]
+    runs = [((pair.type1_slots, pair.type1_delivered, pair.eve_learned_type1), ledger, next_draws)]
+
+    streams = oracles.Streams.from_seed(43) if block_draws else raw_streams(43)
+    eve = Eavesdropper(attack)
+    tally = oracles.run_pair_by_slot(2 * n, 0, 1, NO_DECOYS, channel, eve, 43, 0, "full", streams)
+    next_draws = [getattr(streams, name).random() for name in STREAM_NAMES]
+    runs.append((tally[1:], eve.ledger, next_draws))
     assert runs[0] == runs[1]
-    ledger = runs[0][1]
     assert bool(ledger.learned_endpoints) == (attack.path_rate > 0)
     assert bool(ledger.learned_bits) == (attack.message_rate > 0)
 
 
 @pytest.mark.parametrize("slot_type", [1, 2, 3])
 def test_runners_on_block_draws_match_raw_generators(slot_type):
+    # The engine against the per-slot loop reading raw generators, one slot type at a time.
     channel = ChannelModel(T=0.8, gamma=0.05, mu=0.03)
     attack = AttackConfig(mode=AttackMode.BOTH, eta_path=0.4, eta_msg=0.3)
-    raw = Streams(**{name: seeding.stream_rng(41, name) for name in STREAM_NAMES})
-    runs = []
-    for streams in (raw, Streams.from_seed(41)):
-        if slot_type == 1:
-            eve = Eavesdropper(attack)
-            results = [
-                run_type1_slot(2 * i, 0, 1, i % 2, channel, eve, streams) for i in range(3000)
-            ]
-            runs.append((results, DisturbanceStats(), eve.ledger))
-        else:
-            stats, results, ledger = run_decoy_slots(slot_type == 2, channel, attack, 3000, 41, streams)
-            runs.append((results, stats, ledger))
-    assert runs[0] == runs[1]
-    results, stats, ledger = runs[0]
-    # Losses, noise and both attack kinds all fired, so every draw mattered.
-    assert len(set(results)) > 1
-    assert ledger.learned_endpoints and ledger.learned_bits
+    n = 3000
+    decoys = NO_DECOYS
     if slot_type != 1:
-        assert 0 < stats.type2_errors + stats.type3_errors < 3000
+        odd = np.arange(n) % 2 == 1
+        decoys = PairSchedule(2 * np.arange(n), np.full(n, slot_type == 2), odd & (slot_type == 2))
+    traffic = "full" if slot_type == 1 else "silent"
+    runs = []
+    for run_pair, kwargs in (
+        (protocol._run_pair_by_chunk, {}),
+        (oracles.run_pair_by_slot, {"streams": raw_streams(41)}),
+    ):
+        eve = Eavesdropper(attack)
+        tally = run_pair(2 * n, 0, 1, decoys, channel, eve, 41, 0, traffic, **kwargs)
+        runs.append((tally, eve.ledger))
+    assert runs[0] == runs[1]
+    (stats, slots, delivered, learned), ledger = runs[0]
+    # Losses, noise and both attack kinds all fired, so every draw mattered.
+    assert 0 < delivered < slots or 0 < stats.type2_errors + stats.type3_errors < n
+    assert ledger.learned_endpoints and ledger.learned_bits
 
 
 def test_no_attack_leaves_ledger_empty():
@@ -480,7 +470,7 @@ def test_payload_packing_and_learned_fraction_match_greedy_oracle(seed):
 
 
 def test_type3_errors_only_ever_increment_trials_once():
-    # One path decoy, through the chunk engine (eta_msg = 0) and the per-slot loop.
+    # One path decoy, without and with a message attack.
     for eta_msg in (0.0, 0.5):
         result = run_simulation(
             K=2, h2_per_pair=0, h3_per_pair=1, channel=NO_LOSS, seed=0,
