@@ -73,8 +73,7 @@ class AttackConfig:
 class Rows:
     """An append-only table of int64 rows, packed a block per append: 8 bytes a cell.
 
-    It reads as a sequence of tuples of Python ints: ``len``, iteration,
-    and ``==`` against another table or a list of tuples.
+    It reads as a sequence of tuples of Python ints: ``len`` and iteration.
     """
 
     __slots__ = ("_blocks", "_count")
@@ -96,14 +95,6 @@ class Rows:
     def __iter__(self):
         for block in self._blocks:
             yield from map(tuple, block.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Rows, list)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return f"Rows({list(self)!r})"
 
 
 @dataclass

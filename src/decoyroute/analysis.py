@@ -58,14 +58,9 @@ def message_error(mu: float, T: float) -> float:
 
 def leaked_fraction(D: float, e: float) -> float:
     """Worst-case leaked traffic fraction min{1, 2D(1 + h(e))}."""
-    return min(1.0, leaked_fraction_uncapped(D, e))
-
-
-def leaked_fraction_uncapped(D: float, e: float) -> float:
-    """The leak expression 2D(1 + h(e)) without the cap at one."""
     check_in("D", D, 0, 0.5)
     check_in("e", e, 0, 0.5)
-    return _leak(D, e)
+    return min(1.0, _leak(D, e))
 
 
 def _leak(D: float, e: float) -> float:

@@ -25,10 +25,6 @@ class ChannelModel:
     def __post_init__(self) -> None:
         check_link(self.T, self.gamma, self.mu)
 
-    @classmethod
-    def from_loss_db(cls, loss_db: float, gamma: float = 0.0, mu: float = 0.0) -> "ChannelModel":
-        return cls(T=loss_db_to_T(loss_db), gamma=gamma, mu=mu)
-
 
 def check_link(T: float = 1.0, gamma: float = 0.0, mu: float = 0.0) -> None:
     """The rule of every link parameter: each of ``T``, ``gamma`` and ``mu`` lies in [0, 1]."""

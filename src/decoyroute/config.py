@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from .adversary import AttackConfig, AttackMode
-from .channel import ChannelModel
+from .channel import ChannelModel, loss_db_to_T
 from .errors import InputError, check_at_least
 from .protocol import check_simulation
 
@@ -195,7 +195,7 @@ class RunConfig:
 
     def channel(self) -> ChannelModel:
         if self.loss_db is not None:
-            return ChannelModel.from_loss_db(self.loss_db, self.gamma, self.mu)
+            return ChannelModel(T=loss_db_to_T(self.loss_db), gamma=self.gamma, mu=self.mu)
         return ChannelModel(T=self.T if self.T is not None else 1.0, gamma=self.gamma, mu=self.mu)
 
     def attack_config(self) -> AttackConfig:

@@ -183,11 +183,12 @@ def _round_trip(leg_out, leg_back, idle_first, idle_second, probe) -> tuple[np.n
 
 def tradeoff_scatter(samples: int, d: int, seed: int) -> list[tuple[float, float]]:
     """Disturbance/indistinguishability pairs for random unconstrained attacks: per sample
-    four Haar unitaries, then a probe, drawn and scored a chunk at a time."""
+    four Haar unitaries, then a probe, drawn and scored a chunk at a time.  A chunk is sized
+    by what a sample holds at its peak, the draw's QR and the round-trip check: 25 d^2 entries."""
     check_at_least("samples", samples, 1)
     check_at_least("d", d, 2)
     points = []
-    for unitaries, probes in haar_chunks(np.random.default_rng(seed), samples, 4, d):
+    for unitaries, probes in haar_chunks(np.random.default_rng(seed), samples, 4, d, 25 * d * d):
         figures = _round_trip(*_trips(unitaries, closed=False), probes)
         points += zip(*(figure.tolist() for figure in figures))
     return points

@@ -11,9 +11,9 @@ probability is a hypergeometric average of (1/2)^hits.  This module
 computes that quantity exactly (in log space, as falling factorials of
 length min(H3, m), so in time and memory that do not grow with K; the
 length stops at 1e6), via the closed-form upper bound
-((K - H3)/K + H3 / (2(1 - eta)K))^(eta K), via its large-K limits, and by
-Monte Carlo; and it sizes the decoy counts needed to push the escape
-probability below a target.
+((K - H3)/K + H3 / (2(1 - eta)K))^(eta K), and by Monte Carlo; and it
+sizes the decoy counts needed to push the escape probability below a
+target.
 """
 
 from __future__ import annotations
@@ -119,28 +119,6 @@ def bound_escape_prob(K: int, H3: int, eta: float) -> float:
         return base ** (eta * K)
     except OverflowError:
         return math.inf
-
-
-@dataclass(frozen=True)
-class EscapeLimit:
-    """Large-K limits of the escape bound at a fixed interception rate.
-
-    ``relaxed`` lies *below* ``limit`` for every eta in (0, 1), since
-    (1 - 2 eta) / (1 - eta) < 1: it is not a bound on the S8 limit.  It
-    still bounds the true escape probability, which is at most
-    (1 - eta/2)^H3 <= exp(-eta H3 / 2).
-    """
-
-    limit: float  # exp(-eta*H3*(1 - 2 eta) / (2 (1 - eta))), the S8 limit
-    relaxed: float  # exp(-eta*H3/2), the small-eta form of the limit
-
-
-def asymptotic_bound(H3: int, eta_max: float) -> EscapeLimit:
-    """K -> infinity limit of the escape bound, plus its small-rate relaxation."""
-    _check_rate("eta_max", eta_max)
-    check_at_least("H3", H3, 0)
-    exponent = eta_max * H3 * (1.0 - 2.0 * eta_max) / (2.0 * (1.0 - eta_max))
-    return EscapeLimit(limit=math.exp(-exponent), relaxed=math.exp(-eta_max * H3 / 2.0))
 
 
 def alpha_for(epsilon: float, eta_max: float) -> int:

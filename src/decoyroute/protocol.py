@@ -29,7 +29,9 @@ measurement uniform for the receiver's flip.  So without a message attack
 every offset is a running count over the slots before.  With one, the
 engine first walks Eve's block slot by slot (:func:`_walk_eve`, whose
 payload step is :func:`run_type1_slot`) to find where each slot's uniforms
-start, and then scores the chunk on arrays all the same.
+start; the walk reads only uniforms, never a cycle.  It then scores the
+chunk on arrays all the same, and the cycles the ledger records follow
+from the slot ordinals.
 ``tests/oracles.py`` keeps the scalar per-slot loop that reads every
 uniform in turn; the tests hold the engine to it in every result, ledger
 row and CSV byte.
@@ -58,7 +60,7 @@ from .errors import InputError, check_at_least, check_cycles, check_in
 from .quantum import interfere_path_packet, measure_qubit, prepare_path_packet, where
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PairSchedule:
     """One node pair's decoys as parallel arrays sorted by cycle.
 
@@ -72,18 +74,6 @@ class PairSchedule:
 
     def __len__(self) -> int:
         return len(self.cycle)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PairSchedule):
-            return NotImplemented
-        return all(
-            mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
-            for mine, theirs in (
-                (self.cycle, other.cycle),
-                (self.type2, other.type2),
-                (self.z_basis, other.z_basis),
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -186,15 +176,14 @@ def generate_schedule(
     return Schedule(K=K, assignments=assignments, shared_seed=shared_seed)
 
 
-def run_type1_slot(cycle: int, at: int, eve_u: Sequence[float], message_rate: float) -> int:
-    """Eve's step over the payload round trip at ``cycle``: where the next slot's uniforms start.
+def run_type1_slot(at: int, eve_u: Sequence[float], message_rate: float) -> int:
+    """Eve's step over one payload round trip: where the next slot's uniforms start.
 
     The round trip's uniforms start at ``at`` in ``eve_u``: her path and
     message decisions, then, when she taps the Z-basis payload qubit, her
     basis and one more uniform, or two if she measures in X (see
-    :func:`~decoyroute.adversary.intercept_message`).  ``cycle`` names the
-    round trip, but Eve's draws alone set the step; the engine scores the
-    payloads on arrays after the walk.
+    :func:`~decoyroute.adversary.intercept_message`).  Eve's draws alone
+    set the step; the engine scores the payloads on arrays after the walk.
     """
     if eve_u[at + 1] < message_rate:
         return at + (4 if eve_u[at + 2] < 0.5 else 5)
@@ -232,22 +221,6 @@ def run_type3_slot(sign, path_hit, channel: ChannelModel, out_u, back_u, readout
     return interfere_path_packet(sign, intact, channel.gamma, readout_u) != sign
 
 
-def detect_eavesdropper(
-    d2_hat: float | None,
-    d3_hat: float | None,
-    threshold2: float,
-    threshold3: float,
-) -> bool:
-    """Flag an eavesdropper when either defined disturbance exceeds its threshold.
-
-    The thresholds are taken unchecked; :func:`check_simulation` checks
-    them once, when the run starts.
-    """
-    exceeded2 = d2_hat is not None and d2_hat > threshold2
-    exceeded3 = d3_hat is not None and d3_hat > threshold3
-    return bool(exceeded2 or exceeded3)
-
-
 THRESHOLD_SIGMAS = 5.0  # binomial standard errors above the baseline
 
 
@@ -266,10 +239,6 @@ def default_thresholds(
     return min(0.5, th2), min(0.5, th3)
 
 
-PairTally = tuple[DisturbanceStats, int, int, int]
-"""A pair's decoy counters, payload slots, delivered payloads and payloads Eve traced."""
-
-
 SLOT_CHUNK = 1 << 13  # slots per chunk: at most 5 * SLOT_CHUNK uniforms per block
 
 
@@ -286,7 +255,7 @@ def _refill(generator: np.random.Generator, rest: np.ndarray, size: int) -> np.n
     return np.concatenate((rest, fresh)) if len(rest) else fresh
 
 
-def _walk_eve(eve_u, meas, forward, at, type2, z_basis, decoy_cycles, first_cycle, size, rate):
+def _walk_eve(eve_u, meas, forward, at, type2, z_basis, size, rate):
     """Where each slot of a chunk starts in Eve's block, and which Type 2 decoys read a flip.
 
     Returns ``size + 1`` offsets into ``eve_u`` (the last one past the
@@ -303,13 +272,10 @@ def _walk_eve(eve_u, meas, forward, at, type2, z_basis, decoy_cycles, first_cycl
     step = run_type1_slot  # read per chunk, so a wrapped global is seen
     flagged: list[int] = []
     e = slot = 0
-    cycle = first_cycle
-    for j, (q, is_type2, z, decoy_cycle) in enumerate(
-        zip(at.tolist(), type2.tolist(), z_basis.tolist(), decoy_cycles.tolist())
-    ):
-        for payload_cycle in range(cycle, cycle + 2 * (q - slot), 2):
+    for j, (q, is_type2, z) in enumerate(zip(at.tolist(), type2.tolist(), z_basis.tolist())):
+        for _ in range(slot, q):
             mark(e)
-            e = step(payload_cycle, e, u, rate)
+            e = step(e, u, rate)
         mark(e)
         if u[e + 1] < rate:
             if not is_type2:
@@ -320,10 +286,10 @@ def _walk_eve(eve_u, meas, forward, at, type2, z_basis, decoy_cycles, first_cycl
             e += 4 + mismatch
         else:
             e += 2
-        slot, cycle = q + 1, decoy_cycle + 2
-    for payload_cycle in range(cycle, cycle + 2 * (size - slot), 2):
+        slot = q + 1
+    for _ in range(slot, size):
         mark(e)
-        e = step(payload_cycle, e, u, rate)
+        e = step(e, u, rate)
     mark(e)
     return np.array(starts), np.array(flagged, dtype=np.intp)
 
@@ -338,8 +304,9 @@ def _run_pair_by_chunk(
     seed: int,
     pair_index: int,
     traffic: str,
-) -> PairTally:
-    """One pair's tally, by chunks of up to ``SLOT_CHUNK`` slots in cycle order.
+) -> tuple[DisturbanceStats, int, int, int]:
+    """One pair's decoy counters, payload slots, delivered payloads and payloads Eve traced,
+    by chunks of up to ``SLOT_CHUNK`` slots in cycle order.
 
     Each chunk draws a block per stream, walks Eve's block when there is a
     message attack (:func:`_walk_eve`), and then runs every slot type's
@@ -384,8 +351,7 @@ def _run_pair_by_chunk(
         # A slot's first measurement uniform: 3 per payload before it, 4 per decoy, 5 if flagged.
         if rate:
             starts, flagged = _walk_eve(
-                eve_u, meas, forward, at, type2, decoys.z_basis[lo:hi], cycles[lo:hi],
-                int(cycle_of(start)), size, rate,
+                eve_u, meas, forward, at, type2, decoys.z_basis[lo:hi], size, rate
             )
             reads = np.zeros(size, dtype=np.int64)
             reads[at] = 1
@@ -533,14 +499,15 @@ def run_simulation(
 
     pair_results: list[PairResult] = []
     for pair_index, (sender, receiver) in enumerate(node_pairs):
-        tally = _run_pair_by_chunk(
+        stats, slots, delivered, learned = _run_pair_by_chunk(
             K, sender, receiver, schedule.for_pair(sender, receiver),
             channel, eve, seed, pair_index, traffic,
         )
-        stats = tally[0]
-        detected = detect_eavesdropper(stats.d2_hat, stats.d3_hat, threshold2, threshold3)
-        # The tally holds PairResult's fields between the endpoints and the verdict.
-        pair_results.append(PairResult(sender, receiver, *tally, detected))
+        # An estimate over its threshold flags Eve; None (no trials) reads 0, over no threshold.
+        detected = (stats.d2_hat or 0.0) > threshold2 or (stats.d3_hat or 0.0) > threshold3
+        pair_results.append(
+            PairResult(sender, receiver, stats, slots, delivered, learned, detected)
+        )
 
     pooled2_trials = sum(p.stats.type2_trials for p in pair_results)
     pooled2_errors = sum(p.stats.type2_errors for p in pair_results)

@@ -301,6 +301,27 @@ def binomial_tolerance(p: float, n: int, n_sigma: float = 4.0) -> float:
     return n_sigma * math.sqrt(p * (1.0 - p) / n)
 
 
+def ledger_rows(ledger) -> tuple[list, list]:
+    """Eve's two ledger tables as lists of int tuples, to compare two runs' ledgers."""
+    return list(ledger.learned_endpoints), list(ledger.learned_bits)
+
+
+def same_decoys(mine, theirs) -> bool:
+    """Whether two ``PairSchedule``s hold equal arrays of equal dtypes, field by field."""
+    return all(
+        a.dtype == b.dtype and np.array_equal(a, b)
+        for a, b in zip(vars(mine).values(), vars(theirs).values())
+    )
+
+
+def same_schedule(mine, theirs) -> bool:
+    """Whether two ``Schedule``s have the same K, seed and pairs in order, and same decoys."""
+    sizes = [(s.K, s.shared_seed, list(s.assignments)) for s in (mine, theirs)]
+    return sizes[0] == sizes[1] and all(
+        same_decoys(decoys, theirs.assignments[pair]) for pair, decoys in mine.assignments.items()
+    )
+
+
 DRAW_BLOCK = 1024  # doubles per refill
 
 

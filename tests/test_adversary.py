@@ -91,7 +91,7 @@ def test_path_interception_collapses_superposition():
     sign, _ = prepare_path_packet(*rng.random(3))
     ledger = EveLedger()
     intercept_path(ledger, 3, 0, 1)
-    assert ledger.learned_endpoints == [(3, 0, 1)]
+    assert list(ledger.learned_endpoints) == [(3, 0, 1)]
     # The slot runner reads a packet whose mode Eve measured as not intact.
     n = 50_000
     wrong = np.count_nonzero(interfere_path_packet(sign, False, 0.0, rng.random(n)) != sign)
@@ -128,7 +128,7 @@ def test_attack_config_rejects_a_string_mode():
 def test_ledger_records_endpoints_and_bits():
     eve = Eavesdropper(AttackConfig(mode=AttackMode.BOTH, eta_path=1.0, eta_msg=1.0))
     oracles.type1_slot_reference(4, 0, 1, 1, ChannelModel(), eve, oracles.Streams.from_seed(0))
-    assert eve.ledger.learned_endpoints == [(4, 0, 1)]
+    assert list(eve.ledger.learned_endpoints) == [(4, 0, 1)]
     [(cycle, bit, z)] = eve.ledger.learned_bits
     # A Z-basis measurement of the Z-basis payload reads its bit.
     assert cycle == 4 and z in (0, 1) and (bit == 1 or not z)
@@ -140,9 +140,9 @@ def test_rows_are_packed_and_read_as_int_tuples():
     rows.append(np.empty(0, dtype=np.int64), 1, 1)  # no rows: nothing is stored
     rows.append(11, 2, 3)
     assert len(rows) == 3 and len(rows._blocks) == 2
-    assert rows == [(7, 0, 1), (9, 0, 0), (11, 2, 3)]
+    assert list(rows) == [(7, 0, 1), (9, 0, 0), (11, 2, 3)]
     assert all(type(cell) is int for row in rows for cell in row)
     assert sum(block.nbytes for block in rows._blocks) == 24 * len(rows)
     same = Rows()
     same.append(np.array([7, 9, 11]), np.array([0, 0, 2]), np.array([1, 0, 3]))
-    assert rows == same and rows != Rows() and Rows() == []
+    assert list(rows) == list(same) and list(Rows()) == []

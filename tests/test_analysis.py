@@ -9,7 +9,6 @@ from decoyroute.analysis import (
     binary_entropy,
     inferred_eta,
     leaked_fraction,
-    leaked_fraction_uncapped,
     loss_threshold,
     message_error,
     security_curve,
@@ -63,9 +62,9 @@ def test_message_error_values():
 def test_leaked_fraction_values():
     assert leaked_fraction(0.0, 0.3) == 0.0
     assert leaked_fraction(0.01, 0.01) == pytest.approx(0.02162, abs=1e-4)
-    # At the threshold point the uncapped expression sits just below one.
-    assert leaked_fraction_uncapped(0.2957, 0.1836) == pytest.approx(0.998, abs=2e-3)
-    assert leaked_fraction(0.2957, 0.1836) <= 1.0
+    # At the threshold point the leak sits just below the cap.
+    assert leaked_fraction(0.2957, 0.1836) == pytest.approx(0.998, abs=2e-3)
+    assert leaked_fraction(0.2957, 0.1836) < 1.0
     assert leaked_fraction(0.5, 0.5) == 1.0
 
 
@@ -128,15 +127,17 @@ def test_loss_threshold_matches_grid_scan_oracle():
 
 
 def test_loss_threshold_saturated_case():
-    # gamma > 0.5 puts D above 0.5, outside leaked_fraction_uncapped's range.
+    # gamma > 0.5 puts D above 0.5, outside leaked_fraction's range.
     for gamma in (0.5, 0.6):
         with pytest.raises(AlreadySaturatedError, match="already saturated"):
             loss_threshold(gamma, 0.01)
 
 
 def test_cross_check_threshold_transmissivity():
-    # The transmissivity at the solved threshold reproduces the leak = 1 condition.
+    # The transmissivity at the solved threshold reproduces the leak = 1 condition.  The
+    # bisection's bracket is 1e-4 dB wide, so 1e-4 dB less loss leaves the leak below the cap.
     loss = loss_threshold(0.01, 0.01, 1e-4)
-    T = loss_db_to_T(loss)
-    g = leaked_fraction_uncapped(baseline_disturbance(0.01, T), message_error(0.01, T))
+    T = loss_db_to_T(loss - 1e-4)
+    g = leaked_fraction(baseline_disturbance(0.01, T), message_error(0.01, T))
+    assert g < 1.0
     assert g == pytest.approx(1.0, abs=1e-3)

@@ -64,6 +64,6 @@ def test_channel_model_validation_and_round_trip():
 
 
 def test_channel_model_from_loss_db():
-    channel = ChannelModel.from_loss_db(3.0103, gamma=0.01, mu=0.01)
+    channel = ChannelModel(T=loss_db_to_T(3.0103), gamma=0.01, mu=0.01)
     assert channel.T == pytest.approx(0.5, abs=1e-6)
     assert channel.gamma == 0.01

@@ -84,7 +84,9 @@ def test_chunk_engine_equals_the_per_slot_loop(case):
     csv_by_slot, by_slot = simulate(argv, per_slot=True, chunk=chunk)
     assert csv == csv_by_slot
     assert chunked.pairs == by_slot.pairs
-    assert chunked.eavesdropper.ledger == by_slot.eavesdropper.ledger
+    assert oracles.ledger_rows(chunked.eavesdropper.ledger) == oracles.ledger_rows(
+        by_slot.eavesdropper.ledger
+    )
     for pair in chunked.pairs:
         fields = (pair.type1_slots, pair.type1_delivered, pair.eve_learned_type1)
         assert all(type(value) is int for value in fields + tuple(vars(pair.stats).values()))
@@ -101,7 +103,9 @@ def test_chunk_engine_equals_the_per_slot_loop_at_scale():
     csv_by_slot, by_slot = simulate(argv, per_slot=True, chunk=protocol.SLOT_CHUNK)
     assert csv == csv_by_slot
     assert chunked.pairs == by_slot.pairs
-    assert chunked.eavesdropper.ledger == by_slot.eavesdropper.ledger
+    assert oracles.ledger_rows(chunked.eavesdropper.ledger) == oracles.ledger_rows(
+        by_slot.eavesdropper.ledger
+    )
     assert len(chunked.eavesdropper.ledger.learned_endpoints) > 40_000
     assert len(chunked.eavesdropper.ledger.learned_bits) > 40_000
 
@@ -111,19 +115,26 @@ def test_a_message_attack_runs_every_payload_through_the_slot_runner(monkeypatch
     runner = protocol.run_type1_slot
 
     def counted(*args):
-        calls.append(args[0])
+        calls.append(args)
         return runner(*args)
 
     monkeypatch.setattr(protocol, "run_type1_slot", counted)
+    K = 2000
     kwargs = dict(
-        K=2000, h2_per_pair=50, h3_per_pair=50, channel=ChannelModel(T=0.9), seed=5,
+        K=K, h2_per_pair=50, h3_per_pair=50, channel=ChannelModel(T=0.9), seed=5,
         node_pairs=[(0, 1), (1, 0)],
     )
     result = run_simulation(attack=AttackConfig(mode=AttackMode.MESSAGE, eta_msg=0.2), **kwargs)
     payloads = [p.type1_slots for p in result.pairs]
     assert len(calls) == sum(payloads) > 0
-    bits = result.eavesdropper.ledger.learned_bits
-    assert {cycle for cycle, _, _ in bits} & set(calls)  # payload taps are recorded
+    # Every tap sits on a slot's forward cycle, and some on payloads of no pair's decoy cycle.
+    decoy_cycles = [decoys.cycle.tolist() for decoys in result.schedule.assignments.values()]
+    payload_cycles = [oracles.greedy_payload_cycles(K, cycles) for cycles in decoy_cycles]
+    assert [len(cycles) for cycles in payload_cycles] == payloads
+    tapped = {cycle for cycle, _, _ in result.eavesdropper.ledger.learned_bits}
+    any_decoy, any_payload = set().union(*decoy_cycles), set().union(*payload_cycles)
+    assert tapped <= any_decoy | any_payload
+    assert tapped & (any_payload - any_decoy)
     calls.clear()
     # The same run without a message attack takes the chunk engine: no slot runner call.
     quiet = run_simulation(attack=AttackConfig(mode=AttackMode.MESSAGE, eta_msg=0.0), **kwargs)

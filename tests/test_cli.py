@@ -1,5 +1,6 @@
 import hashlib
 import io
+import pkgutil
 import re
 from pathlib import Path
 
@@ -286,6 +287,16 @@ def test_readme_lists_the_keys_each_command_reads():
     read = {command: list(defaults) for command, defaults in DEFAULTS.items()}
     assert listed == read
     assert {key for keys in listed.values() for key in keys} == set(KEYS)
+
+
+def test_readme_names_resolve():
+    # Every backticked `decoyroute.`-qualified name in the README imports and resolves, so
+    # the docs cannot go on naming a deleted function.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    names = re.findall(r"`(decoyroute(?:\.\w+)+)", readme)
+    assert "decoyroute.overhead.beta_for" in names
+    for name in names:
+        pkgutil.resolve_name(name)
 
 
 def test_simulate_oversubscription_is_config_error(capsys):

@@ -248,6 +248,20 @@ def test_run_verification_chunks_hold_their_budget():
     assert large - small <= 1 << 20, (small, large)
 
 
+@pytest.mark.parametrize("samples, d", [(1000, 8), (64, 32)])
+def test_tradeoff_scatter_chunks_hold_their_budget(samples, d):
+    # A chunk's budget is 65,536 complex entries, 1 MB, counted at the sample's peak (the
+    # QR and the round-trip check); counted by its unitaries alone it peaked at 6.4-6.6 MB.
+    tradeoff_scatter(2, d, 1)
+    tracemalloc.start()
+    try:
+        tradeoff_scatter(samples, d, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, peak
+
+
 def test_run_verification_memory_is_flat_in_samples(monkeypatch):
     # 64 message samples a chunk at d = 8, so both sizes span several chunks;
     # keeping each sample's figures would add 40 KB at 2560 samples.

@@ -11,7 +11,6 @@ from decoyroute import overhead
 from decoyroute.errors import InputError
 from decoyroute.overhead import (
     alpha_for,
-    asymptotic_bound,
     beta_for,
     bound_escape_prob,
     exact_escape_prob,
@@ -225,16 +224,18 @@ def test_monotone_in_intercepted_count():
 
 
 def test_asymptotic_values():
-    limits = asymptotic_bound(92, 0.1)
-    assert limits.relaxed == pytest.approx(math.exp(-4.6), rel=1e-12)
-    assert limits.relaxed == pytest.approx(0.01005, abs=1e-5)
-    assert asymptotic_bound(57, 0.5).limit == 1.0
+    # The relaxed limit exp(-eta H3 / 2) that alpha_for sizes by: at eta = 0.1, 92 path
+    # decoys leave it just above 0.01 and the 93 that alpha_for gives just below.
+    assert math.exp(-0.1 * 92 / 2) == pytest.approx(0.01005, abs=1e-5)
+    assert math.exp(-0.1 * 93 / 2) < 0.01 and alpha_for(0.01, 0.1) == 93
+    # At eta = 1/2 the bound's base is 1, so the bound and its large-K limit are 1.
+    assert bound_escape_prob(10**6, 57, 0.5) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_finite_k_bound_approaches_limit():
-    limit = asymptotic_bound(92, 0.1).limit
-    finite = bound_escape_prob(10**6, 92, 0.1)
-    assert finite == pytest.approx(limit, rel=0.01)
+    eta, H3 = 0.1, 92
+    limit = math.exp(-eta * H3 * (1 - 2 * eta) / (2 * (1 - eta)))  # the bound as K -> infinity
+    assert bound_escape_prob(10**6, H3, eta) == pytest.approx(limit, rel=0.01)
 
 
 def test_alpha_examples():
