@@ -10,7 +10,7 @@ and scheduling-overhead theory, and numerically verifies the constraints
 a disturbance-free attacker's unitaries would have to satisfy.
 """
 
-from .adversary import AttackConfig, AttackMode
+from .adversary import AttackConfig
 from .analysis import loss_threshold, security_curve
 from .channel import ChannelModel
 from .overhead import alpha_for, exact_escape_prob

@@ -2,11 +2,13 @@
 
 Eve sits on every link and can measure either the propagation mode of a
 packet (learning who talks to whom) or its qubit content (learning message
-bits), or both.  She cannot tell payload, message-decoy, and path-decoy
-slots apart, so her decision to intercept is made before the slot type has
-any observable consequence for her.  One decision covers a full round trip
-(forward packet plus the next-cycle return), since the return leg carries
-no endpoint information she did not already get from the forward leg.
+bits), or both, each on its own fraction of round trips
+(:class:`AttackConfig`).  She cannot tell payload, message-decoy, and
+path-decoy slots apart, so her decision to intercept is made before the
+slot type has any observable consequence for her.  One decision covers a
+full round trip (forward packet plus the next-cycle return), since the
+return leg carries no endpoint information she did not already get from
+the forward leg.
 
 Mode measurements read the classical label of a single-mode packet without
 disturbing it, but destroy the superposition of a path packet, which is
@@ -23,57 +25,35 @@ is configured.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, check_at_least, check_in
+from .errors import check_at_least, check_in
 from .quantum import measure_qubit
-
-
-class AttackMode(enum.Enum):
-    NONE = "none"
-    PATH = "path"
-    MESSAGE = "message"
-    BOTH = "both"
 
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Interception rates per attack kind.
+    """Interception rates per attack kind; a zero rate means no attack of that kind.
 
     ``eta_path`` is the fraction of round trips whose propagation mode Eve
     measures, ``eta_msg`` the fraction whose qubit content she measures.
-    A rate only takes effect when ``mode`` enables that attack kind;
-    ``mode = NONE`` forces both effective rates to zero.  The effective
-    rates are computed once per config, since every transaction reads them.
     """
 
-    mode: AttackMode = AttackMode.NONE
     eta_path: float = 0.0
     eta_msg: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.mode, AttackMode):
-            raise InputError("mode", f"must be an AttackMode, got {self.mode!r}")
         for name in ("eta_path", "eta_msg"):
             check_in(name, getattr(self, name), 0, 1)
-
-    @cached_property
-    def path_rate(self) -> float:
-        return self.eta_path if self.mode in (AttackMode.PATH, AttackMode.BOTH) else 0.0
-
-    @cached_property
-    def message_rate(self) -> float:
-        return self.eta_msg if self.mode in (AttackMode.MESSAGE, AttackMode.BOTH) else 0.0
 
 
 class Rows:
     """An append-only table of int64 rows, packed a block per append: 8 bytes a cell.
 
     It reads as a sequence of tuples of Python ints: ``len`` and iteration.
+    Comparing two tables raises: compare ``list(rows)`` instead.
     """
 
     __slots__ = ("_blocks", "_count")
@@ -95,6 +75,9 @@ class Rows:
     def __iter__(self):
         for block in self._blocks:
             yield from map(tuple, block.tolist())
+
+    def __eq__(self, other):
+        raise TypeError("Rows do not compare: compare list(rows) instead")
 
 
 @dataclass

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from .adversary import AttackConfig, AttackMode
+from .adversary import AttackConfig
 from .channel import ChannelModel, loss_db_to_T
 from .errors import InputError, check_at_least
 from .protocol import check_simulation
@@ -56,11 +56,15 @@ def _int_at_least(name: str, lo: int) -> Callable[[str], int]:
     return parse
 
 
+# Each ``attack`` name and the attack kinds it enables, by the rate each kind reads.
+ATTACKS: dict[str, tuple[str, ...]] = {
+    "none": (), "path": ("eta_path",), "message": ("eta_msg",), "both": ("eta_path", "eta_msg"),
+}
+
+
 def _parse_attack(value: str) -> str:
-    # The string names an AttackMode, which AttackConfig takes already converted.
-    names = [mode.value for mode in AttackMode]
-    if value not in names:
-        raise InputError("attack", f"must be one of {'/'.join(names)}, got {value!r}")
+    if value not in ATTACKS:
+        raise InputError("attack", f"must be one of {'/'.join(ATTACKS)}, got {value!r}")
     return value
 
 
@@ -199,9 +203,10 @@ class RunConfig:
         return ChannelModel(T=self.T if self.T is not None else 1.0, gamma=self.gamma, mu=self.mu)
 
     def attack_config(self) -> AttackConfig:
-        return AttackConfig(
-            mode=AttackMode(self.attack), eta_path=self.eta_path, eta_msg=self.eta_msg
-        )
+        """The rates, both checked, with those the ``attack`` name does not enable zeroed."""
+        rates = AttackConfig(eta_path=self.eta_path, eta_msg=self.eta_msg)
+        disabled = {"eta_path", "eta_msg"} - set(ATTACKS[self.attack])
+        return replace(rates, **dict.fromkeys(disabled, 0.0))
 
 
 # The keys each subcommand reads, with their defaults; simulate reads RunConfig's fields.

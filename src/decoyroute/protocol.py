@@ -12,11 +12,14 @@ Unreserved cycles are available for payload traffic (Type 1).
 
 After the run, each pair turns its decoy tallies into disturbance
 estimates and compares them against thresholds; exceeding either one
-flags an eavesdropper.
+flags an eavesdropper.  The run's summary reads the same estimates off the
+pairs' tallies summed into one.
 
 The slot runners are composed of the kernels in :mod:`~decoyroute.quantum`,
 :mod:`~decoyroute.channel` and :mod:`~decoyroute.adversary`, which take
-the uniforms they consume and work elementwise on floats or arrays.
+the uniforms they consume and work elementwise on floats or arrays.  The
+attack is its two rates (:class:`~decoyroute.adversary.AttackConfig`); a
+rate of 0 is no attack of that kind.
 
 One engine runs every pair (:func:`_run_pair_by_chunk`).  A pair reads
 three streams, channel, measurement and eve, in slot order, and each chunk
@@ -26,12 +29,12 @@ uniforms for a payload or 4 for a decoy.  It reads 2 of Eve's uniforms,
 plus 2 or 3 for a message tap, as her basis matches the qubit's or not; a
 Type 2 decoy she resent in the other basis that arrives reads one more
 measurement uniform for the receiver's flip.  So without a message attack
-every offset is a running count over the slots before.  With one, the
-engine first walks Eve's block slot by slot (:func:`_walk_eve`, whose
-payload step is :func:`run_type1_slot`) to find where each slot's uniforms
-start; the walk reads only uniforms, never a cycle.  It then scores the
-chunk on arrays all the same, and the cycles the ledger records follow
-from the slot ordinals.
+(an ``eta_msg`` of 0) every offset is a running count over the slots
+before.  With one, the engine first walks Eve's block slot by slot
+(:func:`_walk_eve`, whose payload step is :func:`run_type1_slot`) to find
+where each slot's uniforms start; the walk reads only uniforms, never a
+cycle.  It then scores the chunk on arrays all the same, and the cycles
+the ledger records follow from the slot ordinals.
 ``tests/oracles.py`` keeps the scalar per-slot loop that reads every
 uniform in turn; the tests hold the engine to it in every result, ledger
 row and CSV byte.
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -57,7 +60,7 @@ from .adversary import (
 from .analysis import baseline_disturbance, inferred_eta, leaked_fraction, message_error
 from .channel import ChannelModel, transmit
 from .errors import InputError, check_at_least, check_cycles, check_in
-from .quantum import interfere_path_packet, measure_qubit, prepare_path_packet, where
+from .quantum import interfere_path_packet, measure_qubit, prepare_path_packet
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,7 @@ def generate_schedule(
     return Schedule(K=K, assignments=assignments, shared_seed=shared_seed)
 
 
-def run_type1_slot(at: int, eve_u: Sequence[float], message_rate: float) -> int:
+def run_type1_slot(at: int, eve_u: Sequence[float], eta_msg: float) -> int:
     """Eve's step over one payload round trip: where the next slot's uniforms start.
 
     The round trip's uniforms start at ``at`` in ``eve_u``: her path and
@@ -185,7 +188,7 @@ def run_type1_slot(at: int, eve_u: Sequence[float], message_rate: float) -> int:
     :func:`~decoyroute.adversary.intercept_message`).  Eve's draws alone
     set the step; the engine scores the payloads on arrays after the walk.
     """
-    if eve_u[at + 1] < message_rate:
+    if eve_u[at + 1] < eta_msg:
         return at + (4 if eve_u[at + 2] < 0.5 else 5)
     return at + 2
 
@@ -202,7 +205,7 @@ def run_type2_slot(sent_bit, z, qubit, channel: ChannelModel, link_u, coin, flip
     basis.  Elementwise, like the kernels.
     """
     transmitted = transmit(channel.T, link_u)
-    measured = where(transmitted, measure_qubit(*qubit, z, channel.mu, coin, flip), coin < 0.5)
+    measured = np.where(transmitted, measure_qubit(*qubit, z, channel.mu, coin, flip), coin < 0.5)
     return measured != sent_bit
 
 
@@ -334,7 +337,7 @@ def _run_pair_by_chunk(
     channel_rng, measurement_rng, eve_rng = (
         seeding.stream_rng(seed, name, pair_index) for name in ("channel", "measurement", "eve")
     )
-    rate = eve.config.message_rate
+    rate = eve.config.eta_msg
     eve_u = meas = np.empty(0)
     stats = DisturbanceStats()
     type1_slots = type1_delivered = learned_type1 = 0
@@ -363,7 +366,7 @@ def _run_pair_by_chunk(
             m = 3 * at + np.arange(hi - lo)
 
         # Eve decides on every round trip before its slot type shows.
-        path_hit = decide_intercept(eve.config.path_rate, eve_u[starts[:-1]])
+        path_hit = decide_intercept(eve.config.eta_path, eve_u[starts[:-1]])
         if path_hit.any():
             hit_cycles = cycle_of(start + np.flatnonzero(path_hit))
             intercept_path(eve.ledger, hit_cycles, sender, receiver)
@@ -509,19 +512,14 @@ def run_simulation(
             PairResult(sender, receiver, stats, slots, delivered, learned, detected)
         )
 
-    pooled2_trials = sum(p.stats.type2_trials for p in pair_results)
-    pooled2_errors = sum(p.stats.type2_errors for p in pair_results)
-    pooled3_trials = sum(p.stats.type3_trials for p in pair_results)
-    pooled3_errors = sum(p.stats.type3_errors for p in pair_results)
-
+    pooled = DisturbanceStats(*map(sum, zip(*(astuple(p.stats) for p in pair_results))))
     inferred: float | None = None
     leak_bound: float | None = None
-    if pooled3_trials > 0:
-        d3_pooled = min(0.5, pooled3_errors / pooled3_trials)
+    if pooled.d3_hat is not None:
+        d3_pooled = min(0.5, pooled.d3_hat)
         inferred = inferred_eta(d3_pooled)
-        if pooled2_trials > 0:
-            e_meas = pooled2_errors / pooled2_trials
-        else:
+        e_meas = pooled.d2_hat
+        if e_meas is None:
             e_meas = message_error(channel.mu, channel.T)
         leak_bound = leaked_fraction(d3_pooled, min(0.5, e_meas))
 

@@ -20,25 +20,16 @@ The full-matrix treatment of general attacks lives in
 
 Every function here is pure: it takes the uniforms it consumes instead
 of a random source, and works elementwise, on floats for one slot or on
-arrays for many slots at once (see :func:`where`).  Callers own their
-streams (see :mod:`decoyroute.seeding`) and check the rates they pass
-once, when they build their :class:`~decoyroute.channel.ChannelModel`.
+arrays for many slots at once.  A kernel that picks between two outcomes
+does so with ``np.where``, so it returns a numpy value even on floats.
+Callers own their streams (see :mod:`decoyroute.seeding`) and check the
+rates they pass once, when they build their
+:class:`~decoyroute.channel.ChannelModel`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def where(condition, if_true, if_false):
-    """``if_true`` where ``condition`` holds, else ``if_false``.
-
-    ``np.where`` on arrays and a plain conditional on a Python bool, so the
-    same formula serves one slot at scalar speed and a batch of slots.
-    """
-    if isinstance(condition, np.ndarray):
-        return np.where(condition, if_true, if_false)
-    return if_true if condition else if_false
 
 
 def measure_qubit(bit, z, meas_z, flip_prob: float, coin, flip):
@@ -78,4 +69,4 @@ def interfere_path_packet(sign, intact, visibility_error: float, u):
     ``u`` decides either case.
     """
     # 1 - 2 * flag is +1 where the flag is False and -1 where it is True.
-    return where(intact, sign * (1 - 2 * (u < visibility_error)), 1 - 2 * (u >= 0.5))
+    return np.where(intact, sign * (1 - 2 * (u < visibility_error)), 1 - 2 * (u >= 0.5))

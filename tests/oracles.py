@@ -366,7 +366,7 @@ def intercept_by_draws(bit, z, draw):
 
 def tap_reference(cycle, qubit, eve, draws):
     """Eve's content decision for one round trip and her tap; returns the qubit that travels on."""
-    if decide_intercept(eve.config.message_rate, draws.random()):
+    if decide_intercept(eve.config.eta_msg, draws.random()):
         qubit = intercept_by_draws(*qubit, draws.random)
         eve.ledger.learned_bits.append(cycle, *qubit)
     return qubit
@@ -379,7 +379,7 @@ def type1_slot_reference(cycle, sender, receiver, payload_bit, channel, eve, str
     endpoints.  The dummy return draws its basis and bit from the
     measurement stream and its transmission from the channel stream.
     """
-    path_hit = decide_intercept(eve.config.path_rate, streams.eve.random())
+    path_hit = decide_intercept(eve.config.eta_path, streams.eve.random())
     tap_reference(cycle, (payload_bit, True), eve, streams.eve)
     if path_hit:
         intercept_path(eve.ledger, cycle, sender, receiver)
@@ -399,7 +399,7 @@ def type2_slot_reference(cycle, z, channel, eve, streams):
     coin = measurement()
     # A photon Eve resent in the other basis reads one more uniform for its flip.
     flip = measurement() if transmit(channel.T, link_u) and qubit[1] != z else coin
-    error = run_type2_slot(sent_bit, z, qubit, channel, link_u, coin, flip)
+    error = bool(run_type2_slot(sent_bit, z, qubit, channel, link_u, coin, flip))
     # The dummy return: its basis and bit, then its transmission.
     measurement()
     measurement()
@@ -413,7 +413,7 @@ def type3_slot_reference(cycle, path_hit, channel, eve, streams):
     sign, dummy = prepare_path_packet(measurement(), measurement(), measurement())
     tap_reference(cycle, dummy, eve, streams.eve)
     out_u, back_u = streams.channel.random(), streams.channel.random()
-    return run_type3_slot(sign, path_hit, channel, out_u, back_u, measurement())
+    return bool(run_type3_slot(sign, path_hit, channel, out_u, back_u, measurement()))
 
 
 def run_pair_by_slot(K, sender, receiver, decoys, channel, eve, seed, pair_index, traffic,
@@ -447,7 +447,7 @@ def run_pair_by_slot(K, sender, receiver, decoys, channel, eve, seed, pair_index
             # A payload's return may not land on the decoy's cycle.
             run_payloads(cycle - 1)
         # Eve decides on a round trip before its slot type shows.
-        path_hit = decide_intercept(eve.config.path_rate, streams.eve.random())
+        path_hit = decide_intercept(eve.config.eta_path, streams.eve.random())
         if path_hit:
             intercept_path(eve.ledger, cycle, sender, receiver)
         if is_type2:

@@ -14,7 +14,6 @@ import pytest
 
 from decoyroute import (
     AttackConfig,
-    AttackMode,
     ChannelModel,
     alpha_for,
     exact_escape_prob,
@@ -84,7 +83,7 @@ def test_criterion_2_path_tradeoff():
             h2_per_pair=0,
             h3_per_pair=n,
             channel=ChannelModel(T=1.0, gamma=0.0, mu=0.0),
-            attack=AttackConfig(mode=AttackMode.PATH, eta_path=eta),
+            attack=AttackConfig(eta_path=eta),
             seed=1000 + index,
             traffic="full",
         )
@@ -140,7 +139,7 @@ def test_criterion_4_message_attack():
         h2_per_pair=n,
         h3_per_pair=0,
         channel=ChannelModel(T=1.0, gamma=0.0, mu=0.0),
-        attack=AttackConfig(mode=AttackMode.MESSAGE, eta_msg=1.0),
+        attack=AttackConfig(eta_msg=1.0),
         seed=3000,
         traffic="silent",
     )

@@ -3,7 +3,6 @@ import pytest
 
 from decoyroute.adversary import (
     AttackConfig,
-    AttackMode,
     Eavesdropper,
     EveLedger,
     Rows,
@@ -13,6 +12,7 @@ from decoyroute.adversary import (
     learned_traffic_fraction,
 )
 from decoyroute.channel import ChannelModel
+from decoyroute.config import RunConfig
 from decoyroute.quantum import interfere_path_packet, measure_qubit, prepare_path_packet
 
 import oracles
@@ -34,9 +34,9 @@ def test_decide_intercept_rejects_bad_rate():
     # Rates are checked once, when the attack is configured.
     for rate in (1.1, -0.1):
         with pytest.raises(ValueError, match="eta_path"):
-            AttackConfig(mode=AttackMode.PATH, eta_path=rate)
+            AttackConfig(eta_path=rate)
         with pytest.raises(ValueError, match="eta_msg"):
-            AttackConfig(mode=AttackMode.MESSAGE, eta_msg=rate)
+            AttackConfig(eta_msg=rate)
 
 
 def test_matching_basis_interception_is_transparent():
@@ -109,24 +109,19 @@ def test_learned_traffic_fraction():
 
 
 def test_attack_config_rates():
-    config = AttackConfig(mode=AttackMode.NONE, eta_path=0.7, eta_msg=0.2)
-    assert config.path_rate == 0.0 and config.message_rate == 0.0
-    config = AttackConfig(mode=AttackMode.PATH, eta_path=0.7, eta_msg=0.2)
-    assert config.path_rate == 0.7 and config.message_rate == 0.0
-    config = AttackConfig(mode=AttackMode.BOTH, eta_path=0.7, eta_msg=0.2)
-    assert config.path_rate == 0.7 and config.message_rate == 0.2
+    # An attack name enables its kinds' rates and zeroes the others.
+    for attack, rates in (
+        ("none", (0.0, 0.0)), ("path", (0.7, 0.0)), ("message", (0.0, 0.2)), ("both", (0.7, 0.2)),
+    ):
+        config = RunConfig(attack=attack, eta_path=0.7, eta_msg=0.2).attack_config()
+        assert config == AttackConfig(*rates), attack
+    assert AttackConfig() == AttackConfig(eta_path=0.0, eta_msg=0.0)
     with pytest.raises(ValueError):
         AttackConfig(eta_path=1.2)
 
 
-def test_attack_config_rejects_a_string_mode():
-    # A bare string would match no AttackMode member and silently disable the attack.
-    with pytest.raises(ValueError, match="mode"):
-        AttackConfig(mode="path", eta_path=1.0)
-
-
 def test_ledger_records_endpoints_and_bits():
-    eve = Eavesdropper(AttackConfig(mode=AttackMode.BOTH, eta_path=1.0, eta_msg=1.0))
+    eve = Eavesdropper(AttackConfig(eta_path=1.0, eta_msg=1.0))
     oracles.type1_slot_reference(4, 0, 1, 1, ChannelModel(), eve, oracles.Streams.from_seed(0))
     assert list(eve.ledger.learned_endpoints) == [(4, 0, 1)]
     [(cycle, bit, z)] = eve.ledger.learned_bits
@@ -146,3 +141,22 @@ def test_rows_are_packed_and_read_as_int_tuples():
     same = Rows()
     same.append(np.array([7, 9, 11]), np.array([0, 0, 2]), np.array([1, 0, 3]))
     assert list(rows) == list(same) and list(Rows()) == []
+
+
+def test_rows_refuse_to_compare():
+    # Identity would answer False for two equal tables: == raises, so a ledger
+    # or an eavesdropper compared as a whole fails loudly instead.
+    rows, same = Rows(), Rows()
+    for table in (rows, same):
+        table.append(np.array([7, 9]), 0, 1)
+    with pytest.raises(TypeError, match=r"list\(rows\)"):
+        rows == same
+    with pytest.raises(TypeError, match=r"list\(rows\)"):
+        rows != same
+    with pytest.raises(TypeError, match=r"list\(rows\)"):
+        rows == [(7, 0, 1), (9, 0, 1)]
+    with pytest.raises(TypeError):
+        EveLedger() == EveLedger()
+    with pytest.raises(TypeError):
+        Eavesdropper() == Eavesdropper()
+    assert list(rows) == list(same)

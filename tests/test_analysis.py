@@ -14,6 +14,7 @@ from decoyroute.analysis import (
     security_curve,
 )
 from decoyroute.channel import loss_db_to_T
+from decoyroute.errors import InputError
 
 import oracles
 
@@ -131,6 +132,27 @@ def test_loss_threshold_saturated_case():
     for gamma in (0.5, 0.6):
         with pytest.raises(AlreadySaturatedError, match="already saturated"):
             loss_threshold(gamma, 0.01)
+
+
+def test_loss_threshold_stays_below_two_db_on_a_grid():
+    # At every T, D grows with gamma and |e - 1/2| = T|mu - 1/2| is largest at
+    # mu = 0, so gamma = mu = 0 leaks least and reaches one last, near 1.96 dB.
+    grid = [i / 20 for i in range(21)]
+    thresholds = {}
+    for gamma in grid:
+        for mu in grid:
+            try:
+                thresholds[gamma, mu] = loss_threshold(gamma, mu)
+            except AlreadySaturatedError:  # at zero loss D = gamma and e = mu
+                assert 2 * gamma * (1 + binary_entropy(mu)) >= 1
+    assert max(thresholds.values()) == thresholds[0.0, 0.0] <= 1.96
+
+
+def test_loss_threshold_rejects_a_tol_that_is_not_positive():
+    for tol in (0.0, -0.01, float("nan")):
+        with pytest.raises(InputError, match="^tol must be positive") as caught:
+            loss_threshold(0.01, 0.01, tol)
+        assert caught.value.name == "tol"
 
 
 def test_cross_check_threshold_transmissivity():

@@ -16,8 +16,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from decoyroute import cli, protocol
-from decoyroute.adversary import AttackConfig, AttackMode
+from decoyroute.adversary import AttackConfig
 from decoyroute.channel import ChannelModel
+from decoyroute.config import ATTACKS
 from decoyroute.protocol import max_decoys_per_pair, run_simulation
 
 import oracles
@@ -51,12 +52,12 @@ def runs(draw) -> tuple[list[str], int]:
     H2 = draw(st.integers(0, cap))
     H3 = draw(st.integers(0, cap - H2))
     unit = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
-    mode = draw(st.sampled_from(list(AttackMode)))
+    attack = draw(st.sampled_from(list(ATTACKS)))
     pairs = PAIRS[: draw(st.integers(1, len(PAIRS)))]
     argv = [
         "simulate", f"--K={K}", f"--H2={H2}", f"--H3={H3}",
         f"--T={draw(unit)!r}", f"--gamma={draw(unit)!r}", f"--mu={draw(unit)!r}",
-        f"--attack={mode.value}", f"--eta-path={draw(unit)!r}", f"--eta-msg={draw(unit)!r}",
+        f"--attack={attack}", f"--eta-path={draw(unit)!r}", f"--eta-msg={draw(unit)!r}",
         f"--traffic={draw(st.sampled_from(['full', 'silent']))}",
         "--num-nodes=3", f"--pairs={','.join(pairs)}",
         f"--seed={draw(st.integers(0, 2**32))}",
@@ -124,7 +125,7 @@ def test_a_message_attack_runs_every_payload_through_the_slot_runner(monkeypatch
         K=K, h2_per_pair=50, h3_per_pair=50, channel=ChannelModel(T=0.9), seed=5,
         node_pairs=[(0, 1), (1, 0)],
     )
-    result = run_simulation(attack=AttackConfig(mode=AttackMode.MESSAGE, eta_msg=0.2), **kwargs)
+    result = run_simulation(attack=AttackConfig(eta_msg=0.2), **kwargs)
     payloads = [p.type1_slots for p in result.pairs]
     assert len(calls) == sum(payloads) > 0
     # Every tap sits on a slot's forward cycle, and some on payloads of no pair's decoy cycle.
@@ -137,7 +138,7 @@ def test_a_message_attack_runs_every_payload_through_the_slot_runner(monkeypatch
     assert tapped & (any_payload - any_decoy)
     calls.clear()
     # The same run without a message attack takes the chunk engine: no slot runner call.
-    quiet = run_simulation(attack=AttackConfig(mode=AttackMode.MESSAGE, eta_msg=0.0), **kwargs)
+    quiet = run_simulation(attack=AttackConfig(eta_msg=0.0), **kwargs)
     assert calls == []
     assert [p.type1_slots for p in quiet.pairs] == payloads
 
@@ -162,7 +163,7 @@ def test_run_simulation_memory_does_not_grow_with_K():
     # without an attack), Eve's blocks and their carry-over included under
     # both attacks; only the ledger grows, by 24 bytes a packed row.  A
     # first run takes the one-time set-up out of the comparison.
-    for attack in (AttackConfig(), AttackConfig(mode=AttackMode.BOTH, eta_path=0.5, eta_msg=0.5)):
+    for attack in (AttackConfig(), AttackConfig(eta_path=0.5, eta_msg=0.5)):
         _peak_bytes(20_000, attack)
         (small, small_rows), (large, large_rows) = (
             _peak_bytes(K, attack) for K in (200_000, 2_000_000)
@@ -183,7 +184,7 @@ def test_undetected_fraction_follows_the_bernoulli_escape_law(eta):
     undetected = sum(
         not run_simulation(
             K=400, h2_per_pair=0, h3_per_pair=H3, channel=ChannelModel(),
-            attack=AttackConfig(mode=AttackMode.PATH, eta_path=eta), seed=seed,
+            attack=AttackConfig(eta_path=eta), seed=seed,
             traffic="silent", threshold2=0.0, threshold3=0.0,
         ).detected
         for seed in range(seeds)

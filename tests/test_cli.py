@@ -1,7 +1,10 @@
 import hashlib
 import io
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -297,6 +300,45 @@ def test_readme_names_resolve():
     assert "decoyroute.overhead.beta_for" in names
     for name in names:
         pkgutil.resolve_name(name)
+
+
+def test_an_attack_checks_the_rate_it_leaves_unused(capsys):
+    # The attack name zeroes a rate it does not enable, but only after checking it.
+    for argv, key in (
+        (("--attack", "none", "--eta-path", "1.5"), "eta_path"),
+        (("--attack", "path", "--eta-msg", "nan"), "eta_msg"),
+    ):
+        code, text = run_cli("simulate", *argv)
+        assert (code, text) == (EXIT_CONFIG_ERROR, ""), argv
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}': "), argv
+
+
+def test_an_empty_pair_list_names_pairs(tmp_path, capsys):
+    config = tmp_path / "pairs.cfg"
+    config.write_text("pairs = ,\n")
+    for argv in (("--pairs", ","), ("--config", str(config))):
+        code, _ = run_cli("simulate", *argv)
+        assert code == EXIT_CONFIG_ERROR, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'pairs': ") and "no pairs given" in err, argv
+
+
+def test_the_module_entry_point_runs_the_cli():
+    # The package's parent directory first, so the child imports this checkout.
+    paths = (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        command = [sys.executable, "-m", "decoyroute", *argv]
+        return subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+
+    done = run("figure2", "--steps", "2")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.splitlines()[0] == "loss_db,T,D,e,h_e,g"
+    assert len(done.stdout.splitlines()) == 3
+    done = run("simulate", "--K", "0")
+    assert (done.returncode, done.stdout) == (EXIT_CONFIG_ERROR, "")
+    assert done.stderr.startswith("error: config key 'K': ")
 
 
 def test_simulate_oversubscription_is_config_error(capsys):

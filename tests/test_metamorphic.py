@@ -18,7 +18,7 @@ import io
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from decoyroute.adversary import AttackConfig, AttackMode
+from decoyroute.adversary import AttackConfig
 from decoyroute.channel import ChannelModel
 from decoyroute.cli import EXIT_OK, main
 from decoyroute.protocol import max_decoys_per_pair, run_simulation
@@ -108,10 +108,9 @@ def test_a_perfect_link_without_an_attack_makes_no_decoy_err(flags, pairs):
 @given(
     runs(),
     node_pairs,
-    st.sampled_from([AttackMode.PATH, AttackMode.BOTH]),
     st.lists(unit, min_size=2, max_size=2),
 )
-def test_the_path_rate_moves_no_type2_error_and_no_delivery(flags, pairs, mode, eta_paths):
+def test_eta_path_moves_no_type2_error_and_no_delivery(flags, pairs, eta_paths):
     # The library run of the same flags: the CSV has no delivered-payload column.
     value = dict(flag[2:].split("=") for flag in flags)
     kwargs = dict(
@@ -124,7 +123,7 @@ def test_the_path_rate_moves_no_type2_error_and_no_delivery(flags, pairs, mode, 
         [
             (pair.stats.type2_errors, pair.type1_delivered)
             for pair in run_simulation(
-                attack=AttackConfig(mode=mode, eta_path=eta_path, eta_msg=0.0), **kwargs
+                attack=AttackConfig(eta_path=eta_path), **kwargs
             ).pairs
         ]
         for eta_path in eta_paths

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from decoyroute import protocol, seeding
-from decoyroute.adversary import AttackConfig, AttackMode, Eavesdropper
+from decoyroute.adversary import AttackConfig, Eavesdropper
 from decoyroute.analysis import baseline_disturbance
 from decoyroute.channel import ChannelModel
+from decoyroute.config import RunConfig
 from decoyroute.protocol import (
     DisturbanceStats,
     PairSchedule,
@@ -146,7 +147,7 @@ class TestType1Slot:
         assert delivered and not learned
 
     def test_full_path_attack_reads_every_slot(self):
-        attack = AttackConfig(mode=AttackMode.PATH, eta_path=1.0)
+        attack = AttackConfig(eta_path=1.0)
         pair, ledger = run_payloads(100, NO_LOSS, attack, 1)
         assert pair.eve_learned_type1 == pair.type1_slots == 100
         assert list(ledger.learned_endpoints) == [(cycle, 0, 1) for cycle in range(0, 200, 2)]
@@ -168,7 +169,7 @@ class TestType2Slot:
 
     def test_full_message_attack_gives_quarter(self):
         stats = self.run_many(
-            NO_LOSS, AttackConfig(mode=AttackMode.MESSAGE, eta_msg=1.0), seed=7
+            NO_LOSS, AttackConfig(eta_msg=1.0), seed=7
         )
         expected = oracles.intercept_resend_error_rate()
         tol = oracles.binomial_tolerance(expected, stats.type2_trials, 3)
@@ -181,7 +182,7 @@ class TestType2Slot:
 
     def test_partial_message_attack_rate(self):
         stats = self.run_many(
-            NO_LOSS, AttackConfig(mode=AttackMode.MESSAGE, eta_msg=0.4), n=50_000, seed=9
+            NO_LOSS, AttackConfig(eta_msg=0.4), n=50_000, seed=9
         )
         tol = oracles.binomial_tolerance(0.1, stats.type2_trials)
         assert stats.d2_hat == pytest.approx(0.4 / 4.0, abs=tol)
@@ -196,7 +197,7 @@ class TestType3Slot:
         assert stats.d3_hat == 0.0
 
     def test_full_path_attack_gives_half(self):
-        stats = self.run_many(NO_LOSS, AttackConfig(mode=AttackMode.PATH, eta_path=1.0), seed=4)
+        stats = self.run_many(NO_LOSS, AttackConfig(eta_path=1.0), seed=4)
         tol = oracles.binomial_tolerance(0.5, stats.type3_trials, 3)
         assert stats.d3_hat == pytest.approx(0.5, abs=tol)
 
@@ -221,7 +222,7 @@ class TestType3Slot:
         channel = ChannelModel(T=0.8, gamma=0.05)
         stats = self.run_many(
             channel,
-            AttackConfig(mode=AttackMode.PATH, eta_path=eta),
+            AttackConfig(eta_path=eta),
             n=30_000,
             seed=int(eta * 100) + 13,
         )
@@ -232,7 +233,7 @@ class TestType3Slot:
 
     def test_message_attack_leaves_path_decoys_quiet(self):
         stats = self.run_many(
-            NO_LOSS, AttackConfig(mode=AttackMode.MESSAGE, eta_msg=1.0), n=5000, seed=6
+            NO_LOSS, AttackConfig(eta_msg=1.0), n=5000, seed=6
         )
         assert stats.d3_hat == 0.0
 
@@ -248,8 +249,8 @@ def test_estimate_disturbance():
 
 def test_detect_eavesdropper_table(monkeypatch):
     # A pair is flagged when a defined estimate is strictly over its threshold.
-    path = AttackConfig(mode=AttackMode.PATH, eta_path=1.0)
-    message = AttackConfig(mode=AttackMode.MESSAGE, eta_msg=1.0)
+    path = AttackConfig(eta_path=1.0)
+    message = AttackConfig(eta_msg=1.0)
     for decoys, attack, thresholds, expected in (
         (40, AttackConfig(), (0.05, 0.05), [False, False]),
         (40, AttackConfig(), (0.0, 0.0), [False, False]),  # 0 is not over 0
@@ -295,7 +296,7 @@ def test_run_simulation_clean_network():
 def test_run_simulation_detects_path_attack():
     result = run_simulation(
         K=4000, h2_per_pair=200, h3_per_pair=400, channel=NO_LOSS,
-        attack=AttackConfig(mode=AttackMode.PATH, eta_path=0.5), seed=22,
+        attack=AttackConfig(eta_path=0.5), seed=22,
     )
     pair = result.pairs[0]
     tol = oracles.binomial_tolerance(0.25, pair.stats.type3_trials)
@@ -308,7 +309,7 @@ def test_run_simulation_deterministic():
     kwargs = dict(
         K=800, h2_per_pair=50, h3_per_pair=50,
         channel=ChannelModel(T=0.9, gamma=0.01, mu=0.01),
-        attack=AttackConfig(mode=AttackMode.BOTH, eta_path=0.3, eta_msg=0.3),
+        attack=AttackConfig(eta_path=0.3, eta_msg=0.3),
         seed=23,
     )
     first = run_simulation(**kwargs)
@@ -330,7 +331,7 @@ def test_run_simulation_attack_mode_does_not_shift_channel_noise():
     )
     quiet = run_simulation(attack=AttackConfig(), **kwargs)
     noisy = run_simulation(
-        attack=AttackConfig(mode=AttackMode.MESSAGE, eta_msg=1.0), **kwargs
+        attack=AttackConfig(eta_msg=1.0), **kwargs
     )
     assert quiet.pairs[0].stats.type3_errors == noisy.pairs[0].stats.type3_errors
 
@@ -352,23 +353,27 @@ def raw_streams(seed: int) -> oracles.Streams:
     return oracles.Streams(**{name: seeding.stream_rng(seed, name) for name in STREAM_NAMES})
 
 
+# Which of the two rates an attack keeps, by the attack's CLI name.
+RATE_MASKS = {"none": (0, 0), "path": (1, 0), "message": (0, 1), "both": (1, 1)}
+
+
 @pytest.mark.parametrize("block_draws", [True, False], ids=["from_seed", "raw"])
 @pytest.mark.parametrize("T", [1.0, 0.8])
 @pytest.mark.parametrize("eta_path, eta_msg", [(0.4, 0.3), (1.0, 1.0)])
-@pytest.mark.parametrize("mode", list(AttackMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("mask", RATE_MASKS.values(), ids=RATE_MASKS)
 def test_inline_payload_runner_draws_what_the_kernels_draw(
-    mode, eta_path, eta_msg, T, block_draws
+    mask, eta_path, eta_msg, T, block_draws
 ):
     # 3000 payloads through the engine, whose walk steps by run_type1_slot,
     # against the slot kernels composed one payload at a time.
     channel = ChannelModel(T=T, gamma=0.05, mu=0.03)
-    attack = AttackConfig(mode=mode, eta_path=eta_path, eta_msg=eta_msg)
+    attack = AttackConfig(eta_path=mask[0] * eta_path, eta_msg=mask[1] * eta_msg)
     n = 3000
     pair, ledger = run_payloads(n, channel, attack, 43)
     draws = {name: seeding.stream_rng(43, name).random(5 * n + 3) for name in STREAM_NAMES}
     at = 0
     for _ in range(n):
-        at = run_type1_slot(at, draws["eve"], attack.message_rate)
+        at = run_type1_slot(at, draws["eve"], attack.eta_msg)
     next_draws = [draws["channel"][2 * n], draws["measurement"][3 * n], draws["eve"][at]]
     tally = (pair.type1_slots, pair.type1_delivered, pair.eve_learned_type1)
     runs = [(tally, oracles.ledger_rows(ledger), next_draws)]
@@ -379,15 +384,15 @@ def test_inline_payload_runner_draws_what_the_kernels_draw(
     next_draws = [getattr(streams, name).random() for name in STREAM_NAMES]
     runs.append((tally[1:], oracles.ledger_rows(eve.ledger), next_draws))
     assert runs[0] == runs[1]
-    assert bool(ledger.learned_endpoints) == (attack.path_rate > 0)
-    assert bool(ledger.learned_bits) == (attack.message_rate > 0)
+    assert bool(ledger.learned_endpoints) == bool(mask[0])
+    assert bool(ledger.learned_bits) == bool(mask[1])
 
 
 @pytest.mark.parametrize("slot_type", [1, 2, 3])
 def test_runners_on_block_draws_match_raw_generators(slot_type):
     # The engine against the per-slot loop reading raw generators, one slot type at a time.
     channel = ChannelModel(T=0.8, gamma=0.05, mu=0.03)
-    attack = AttackConfig(mode=AttackMode.BOTH, eta_path=0.4, eta_msg=0.3)
+    attack = AttackConfig(eta_path=0.4, eta_msg=0.3)
     n = 3000
     decoys = NO_DECOYS
     if slot_type != 1:
@@ -413,7 +418,7 @@ def test_no_attack_leaves_ledger_empty():
     result = run_simulation(
         K=2000, h2_per_pair=100, h3_per_pair=100,
         channel=ChannelModel(T=0.8, gamma=0.01, mu=0.01),
-        attack=AttackConfig(mode=AttackMode.NONE, eta_path=0.9, eta_msg=0.9),
+        attack=RunConfig(attack="none", eta_path=0.9, eta_msg=0.9).attack_config(),
         seed=28,
     )
     ledger = result.eavesdropper.ledger
@@ -433,7 +438,7 @@ def test_run_simulation_silent_traffic_has_no_type1():
 def test_run_simulation_learned_fraction_tracks_rate():
     result = run_simulation(
         K=20_000, h2_per_pair=0, h3_per_pair=1000, channel=NO_LOSS,
-        attack=AttackConfig(mode=AttackMode.PATH, eta_path=0.4), seed=26,
+        attack=AttackConfig(eta_path=0.4), seed=26,
     )
     pair = result.pairs[0]
     assert pair.type1_slots > 5000
@@ -448,7 +453,7 @@ def test_leak_bound_is_conservative_with_baseline_noise(eta):
     result = run_simulation(
         K=80_000, h2_per_pair=2000, h3_per_pair=20_000,
         channel=ChannelModel(T=0.9, gamma=0.01, mu=0.01),
-        attack=AttackConfig(mode=AttackMode.PATH, eta_path=eta),
+        attack=AttackConfig(eta_path=eta),
         seed=int(eta * 1000) + 31,
     )
     assert result.leaked_fraction_bound >= result.actual_learned_fraction
@@ -472,7 +477,7 @@ def test_payload_packing_and_learned_fraction_match_greedy_oracle(seed):
     result = run_simulation(
         K=3000, node_pairs=node_pairs, h2_per_pair=150, h3_per_pair=250,
         channel=ChannelModel(T=0.9, gamma=0.01, mu=0.01),
-        attack=AttackConfig(mode=AttackMode.BOTH, eta_path=0.5, eta_msg=0.3),
+        attack=AttackConfig(eta_path=0.5, eta_msg=0.3),
         seed=seed,
     )
     endpoints = result.eavesdropper.ledger.learned_endpoints
@@ -500,7 +505,7 @@ def test_type3_errors_only_ever_increment_trials_once():
     for eta_msg in (0.0, 0.5):
         result = run_simulation(
             K=2, h2_per_pair=0, h3_per_pair=1, channel=NO_LOSS, seed=0,
-            attack=AttackConfig(mode=AttackMode.MESSAGE, eta_msg=eta_msg),
+            attack=AttackConfig(eta_msg=eta_msg),
         )
         stats = result.pairs[0].stats
         assert (stats.type3_trials, stats.type2_trials) == (1, 0)
