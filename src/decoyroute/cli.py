@@ -8,15 +8,18 @@ Exit status: 0 on success, 1 when `verify` finds a failing check, 2 for
 configuration or usage errors, including a `--config` file that cannot be
 read and an `--out` path that cannot be written, and 3 for an internal
 error: any other exception, reported as `internal error` with its
-traceback on stderr.  Output is buffered, so a run that exits 2 or 3
-leaves an existing `--out` file as it was.
+traceback on stderr.  Output is buffered and `--out` is written beside
+the target, then moved over it, so a run that exits 2 or 3, or a write
+that fails part-way, leaves an existing `--out` file as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
+import tempfile
 import traceback
 from pathlib import Path
 from typing import IO
@@ -179,6 +182,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def write_replacing(target: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``target``, then move it over ``target``."""
+    fd, name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
+    os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open would create, not mkstemp's 0600
+    os.close(fd)
+    try:
+        Path(name).write_text(text)
+        os.replace(name, target)
+    except BaseException:
+        os.unlink(name)
+        raise
+
+
 def main(argv: list[str] | None = None, stdout: IO[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -189,7 +207,7 @@ def main(argv: list[str] | None = None, stdout: IO[str] | None = None) -> int:
             (stdout if stdout is not None else sys.stdout).write(buffer.getvalue())
         else:
             try:
-                Path(args.out).write_text(buffer.getvalue())
+                write_replacing(Path(args.out), buffer.getvalue())
             except OSError as exc:
                 raise ConfigError("out", f"cannot write {args.out}: {exc.strerror}") from None
         return code

@@ -39,18 +39,19 @@ def _log_factorials(n: int) -> np.ndarray:
 
     Entry k is the float sum log 1 + ... + log k in order, whatever was built before."""
     global _log_fact_table
-    old = len(_log_fact_table)
+    table = _log_fact_table  # read once: a concurrent caller may swap the global
+    old = len(table)
     if old <= n:
         grown = np.empty(n + 1)
-        grown[:old] = _log_fact_table
+        grown[:old] = table
         for start in range(old, n + 1, _CHUNK):
             chunk = grown[start : start + _CHUNK]
             chunk[:] = np.arange(start, start + len(chunk))
             np.log(chunk, out=chunk)
             chunk[0] += grown[start - 1]
             np.cumsum(chunk, out=chunk)
-        _log_fact_table = grown
-    return _log_fact_table
+        _log_fact_table = table = grown
+    return table
 
 
 def h1_bits(H2: int, H3: int, K: int) -> int:

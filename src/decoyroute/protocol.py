@@ -22,18 +22,19 @@ attack is its two rates (:class:`~decoyroute.adversary.AttackConfig`); a
 rate of 0 is no attack of that kind.
 
 One engine runs every pair (:func:`_run_pair_by_chunk`).  A pair reads
-three streams, channel, measurement and eve, in slot order, and each chunk
-of up to ``SLOT_CHUNK`` slots draws one block per stream and scores its
-slots on arrays.  A slot reads 2 channel uniforms and 3 measurement
-uniforms for a payload or 4 for a decoy.  It reads 2 of Eve's uniforms,
-plus 2 or 3 for a message tap, as her basis matches the qubit's or not; a
-Type 2 decoy she resent in the other basis that arrives reads one more
-measurement uniform for the receiver's flip.  So without a message attack
-(an ``eta_msg`` of 0) every offset is a running count over the slots
-before.  With one, the engine first walks Eve's block slot by slot
-(:func:`_walk_eve`, whose payload step is :func:`run_type1_slot`) to find
-where each slot's uniforms start; the walk reads only uniforms, never a
-cycle.  It then scores the chunk on arrays all the same, and the cycles
+its streams in slot order, and each chunk of up to ``SLOT_CHUNK`` slots
+draws one block per stream and scores its slots on arrays.  A slot reads 2
+channel uniforms and 3 measurement uniforms for a payload or 4 for a
+decoy, in every run, so its measurement offset is a running count over the
+slots before.  It reads 2 of Eve's uniforms, plus 2 or 3 for a message
+tap, as her basis matches the qubit's or not.  Under a message attack each
+Type 2 decoy also reads one uniform of the receiver stream, at its Type 2
+ordinal: the receiver's flip draw when Eve resent the decoy in the other
+basis.  Eve's offsets alone depend on her draws, so under a message attack
+the engine first walks her block slot by slot (:func:`_walk_eve`, whose
+payload step is :func:`run_type1_slot`) to find where each slot's uniforms
+start; the walk reads only her uniforms and the decoys' qubit bases, never
+a cycle.  It then scores the chunk on arrays all the same, and the cycles
 the ledger records follow from the slot ordinals.
 ``tests/oracles.py`` keeps the scalar per-slot loop that reads every
 uniform in turn; the tests hold the engine to it in every result, ledger
@@ -246,7 +247,7 @@ SLOT_CHUNK = 1 << 13  # slots per chunk: at most 5 * SLOT_CHUNK uniforms per blo
 
 
 def _refill(generator: np.random.Generator, rest: np.ndarray, size: int) -> np.ndarray:
-    """The stream's next uniforms from ``rest`` on, topped up from ``generator`` to ``size``.
+    """Eve's next uniforms from ``rest`` on, topped up from ``generator`` to ``size``.
 
     ``Generator.random(n)`` returns the same values as n scalar draws, so a
     block may end past what a chunk reads; the next chunk starts at ``rest``.
@@ -258,43 +259,31 @@ def _refill(generator: np.random.Generator, rest: np.ndarray, size: int) -> np.n
     return np.concatenate((rest, fresh)) if len(rest) else fresh
 
 
-def _walk_eve(eve_u, meas, forward, at, type2, z_basis, size, rate):
-    """Where each slot of a chunk starts in Eve's block, and which Type 2 decoys read a flip.
+def _walk_eve(eve_u, at, z_basis, size, rate):
+    """Where each slot of a chunk starts in Eve's block ``eve_u``: ``size + 1`` offsets.
 
-    Returns ``size + 1`` offsets into ``eve_u`` (the last one past the
-    chunk) and the chunk's Type 2 decoys, by index, that Eve resent in the
-    other basis and that arrived (``forward``): their receiver reads one
-    more measurement uniform.  A payload steps by :func:`run_type1_slot`,
-    and a decoy by the same rule with its qubit's basis: a Type 2 decoy's
-    scheduled one, or a Type 3 decoy's dummy basis, its second measurement
-    uniform, whose offset moves with each flagged decoy before it.
+    The last offset is past the chunk.  A payload steps by
+    :func:`run_type1_slot`, and a decoy at position ``at`` by the same rule
+    with its qubit's basis ``z_basis``: a Type 2 decoy's scheduled one, or
+    a Type 3 decoy's dummy basis.
     """
-    u, meas = memoryview(eve_u), memoryview(meas)  # single floats, no block conversion
+    u = memoryview(eve_u)  # single floats, no block conversion
     starts: list[int] = []
     mark = starts.append
     step = run_type1_slot  # read per chunk, so a wrapped global is seen
-    flagged: list[int] = []
     e = slot = 0
-    for j, (q, is_type2, z) in enumerate(zip(at.tolist(), type2.tolist(), z_basis.tolist())):
+    for q, z in zip(at.tolist(), z_basis.tolist()):
         for _ in range(slot, q):
             mark(e)
             e = step(e, u, rate)
         mark(e)
-        if u[e + 1] < rate:
-            if not is_type2:
-                z = meas[3 * q + j + len(flagged) + 1] < 0.5
-            mismatch = (u[e + 2] < 0.5) != z
-            if mismatch and is_type2 and forward[q]:
-                flagged.append(j)
-            e += 4 + mismatch
-        else:
-            e += 2
+        e += 4 + ((u[e + 2] < 0.5) != z) if u[e + 1] < rate else 2
         slot = q + 1
     for _ in range(slot, size):
         mark(e)
         e = step(e, u, rate)
     mark(e)
-    return np.array(starts), np.array(flagged, dtype=np.intp)
+    return np.array(starts)
 
 
 def _run_pair_by_chunk(
@@ -338,7 +327,8 @@ def _run_pair_by_chunk(
         seeding.stream_rng(seed, name, pair_index) for name in ("channel", "measurement", "eve")
     )
     rate = eve.config.eta_msg
-    eve_u = meas = np.empty(0)
+    receiver_rng = seeding.stream_rng(seed, "receiver", pair_index) if rate else None
+    eve_u = np.empty(0)
     stats = DisturbanceStats()
     type1_slots = type1_delivered = learned_type1 = 0
     for start in range(0, slots, SLOT_CHUNK):
@@ -347,34 +337,9 @@ def _run_pair_by_chunk(
         at = ordinal[lo:hi] - start  # the chunk's decoys, by position in the chunk
         type2 = decoys.type2[lo:hi]
         chan = channel_rng.random(2 * size)
-        forward = transmit(channel.T, chan[::2])  # every round trip's forward leg
+        meas = measurement_rng.random(3 * size + hi - lo)
         eve_u = _refill(eve_rng, eve_u, (5 if rate else 2) * size)
-        flag_bound = int(np.count_nonzero(type2)) if rate else 0
-        meas = _refill(measurement_rng, meas, 3 * size + hi - lo + flag_bound)
-        # A slot's first measurement uniform: 3 per payload before it, 4 per decoy, 5 if flagged.
-        if rate:
-            starts, flagged = _walk_eve(
-                eve_u, meas, forward, at, type2, decoys.z_basis[lo:hi], size, rate
-            )
-            reads = np.zeros(size, dtype=np.int64)
-            reads[at] = 1
-            reads[at[flagged]] = 2
-            first_meas = 3 * np.arange(size) + np.cumsum(reads) - reads
-            m = first_meas[at]
-        else:
-            starts, flagged = np.arange(0, 2 * size + 1, 2), np.empty(0, dtype=np.intp)
-            m = 3 * at + np.arange(hi - lo)
-
-        # Eve decides on every round trip before its slot type shows.
-        path_hit = decide_intercept(eve.config.eta_path, eve_u[starts[:-1]])
-        if path_hit.any():
-            hit_cycles = cycle_of(start + np.flatnonzero(path_hit))
-            intercept_path(eve.ledger, hit_cycles, sender, receiver)
-        payload = np.ones(size, dtype=bool)
-        payload[at] = False
-        type1_slots += size - (hi - lo)
-        type1_delivered += int(np.count_nonzero(forward[payload]))
-        learned_type1 += int(np.count_nonzero(path_hit[payload]))
+        m = 3 * at + np.arange(hi - lo)  # a decoy's first measurement uniform
 
         # The qubit each decoy sends: a Type 2 decoy's bit in its scheduled
         # basis, a Type 3 decoy's dummy riding on its path packet.
@@ -384,12 +349,15 @@ def _run_pair_by_chunk(
         sent = meas[m[kind2]] < 0.5
         z = decoys.z_basis[lo:hi][kind2]
         qubit = (sent, z)
+        flip = coin = meas[m[kind2] + 1]
         if rate:
-            # Eve's content taps, of every slot type at once: a payload sends its bit in Z.
-            bits = meas[first_meas] < 0.5
+            # Every slot's qubit, for Eve's content taps: a payload sends its
+            # bit in Z, from its first measurement uniform.
+            bits = meas[3 * np.arange(size) + np.searchsorted(at, np.arange(size))] < 0.5
             bases = np.ones(size, dtype=bool)
             bases[at[kind2]] = z
             bits[at[kind3]], bases[at[kind3]] = dummy_bit, dummy_z
+            starts = _walk_eve(eve_u, at, bases[at], size, rate)
             tapped = np.flatnonzero(np.diff(starts) > 2)
             first = starts[tapped] + 2  # her basis uniform; the flip is the tap's last
             bits[tapped], bases[tapped] = intercept_message(
@@ -398,14 +366,24 @@ def _run_pair_by_chunk(
             )
             eve.ledger.learned_bits.append(cycle_of(start + tapped), bits[tapped], bases[tapped])
             qubit = (bits[at[kind2]], bases[at[kind2]])
+            # A decoy Eve resent in the other basis reads the receiver's own flip draw.
+            flip = np.where(qubit[1] != z, receiver_rng.random(len(kind2)), coin)
+        else:
+            starts = np.arange(0, 2 * size + 1, 2)
 
-        # A flagged decoy's receiver reads its flip after the coin.
-        coin = meas[m + 1]
-        flip = coin.copy()
-        flip[flagged] = meas[m[flagged] + 2]
-        errors = run_type2_slot(
-            sent, z, qubit, channel, chan[2 * at[kind2]], coin[kind2], flip[kind2]
-        )
+        # Eve decides on every round trip before its slot type shows.
+        path_hit = decide_intercept(eve.config.eta_path, eve_u[starts[:-1]])
+        if path_hit.any():
+            hit_cycles = cycle_of(start + np.flatnonzero(path_hit))
+            intercept_path(eve.ledger, hit_cycles, sender, receiver)
+        payload = np.ones(size, dtype=bool)
+        payload[at] = False
+        type1_slots += size - (hi - lo)
+        # A payload is delivered when its forward leg survives.
+        type1_delivered += int(np.count_nonzero(transmit(channel.T, chan[::2][payload])))
+        learned_type1 += int(np.count_nonzero(path_hit[payload]))
+
+        errors = run_type2_slot(sent, z, qubit, channel, chan[2 * at[kind2]], coin, flip)
         stats.type2_trials += len(kind2)
         stats.type2_errors += int(np.count_nonzero(errors))
         at3 = at[kind3]
@@ -415,7 +393,6 @@ def _run_pair_by_chunk(
         stats.type3_trials += len(kind3)
         stats.type3_errors += int(np.count_nonzero(errors))
         eve_u = eve_u[starts[-1]:]
-        meas = meas[3 * size + hi - lo + len(flagged):]
     return stats, type1_slots, type1_delivered, learned_type1
 
 

@@ -1,10 +1,11 @@
 """Deterministic derivation of per-subsystem random streams from one root seed.
 
 Every stochastic subsystem (schedule drawing, channel loss, eavesdropper
-decisions, node-local preparation/measurement noise) owns an independent
-stream derived from the root seed and a fixed stream id.  Changing the
-attack configuration therefore never perturbs the channel noise sequence,
-and repeated runs with the same root seed are bit-for-bit identical.
+decisions, node measurements, and the receiver's flip after a resend in
+the other basis) owns an independent stream derived from the root seed and
+a fixed stream id.  Changing the attack configuration therefore never
+perturbs the channel noise or the measurements, and repeated runs with the
+same root seed are bit-for-bit identical.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ STREAM_IDS = {
     "channel": 1,
     "eve": 2,
     "measurement": 3,
+    "receiver": 5,  # 4 is kept for Eve's taps
 }
 
 

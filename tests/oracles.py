@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -337,7 +337,7 @@ class BlockDraws:
 
 @dataclass
 class Streams:
-    """A pair's three draw sources; each field needs only ``random()``.
+    """A pair's draw sources, one per pair stream; each field needs only ``random()``.
 
     A field is a raw ``np.random.Generator`` or the :class:`BlockDraws`
     that :meth:`from_seed` wraps around one: both give the same values in
@@ -347,12 +347,13 @@ class Streams:
     channel: BlockDraws | np.random.Generator
     measurement: BlockDraws | np.random.Generator
     eve: BlockDraws | np.random.Generator
+    receiver: BlockDraws | np.random.Generator
 
     @classmethod
     def from_seed(cls, root_seed: int, pair_index: int = 0) -> "Streams":
         return cls(**{
-            name: BlockDraws(seeding.stream_rng(root_seed, name, pair_index))
-            for name in ("channel", "measurement", "eve")
+            field.name: BlockDraws(seeding.stream_rng(root_seed, field.name, pair_index))
+            for field in fields(cls)
         })
 
 
@@ -391,14 +392,18 @@ def type1_slot_reference(cycle, sender, receiver, payload_bit, channel, eve, str
 
 
 def type2_slot_reference(cycle, z, channel, eve, streams):
-    """One message-integrity decoy after Eve's mode decision; returns whether it erred."""
+    """One message-integrity decoy after Eve's mode decision; returns whether it erred.
+
+    The decoy reads one receiver uniform, the flip of a photon Eve resent in
+    the other basis that arrives.
+    """
     measurement = streams.measurement.random
     sent_bit = measurement() < 0.5
     qubit = tap_reference(cycle, (sent_bit, z), eve, streams.eve)
     link_u = streams.channel.random()
     coin = measurement()
-    # A photon Eve resent in the other basis reads one more uniform for its flip.
-    flip = measurement() if transmit(channel.T, link_u) and qubit[1] != z else coin
+    resent_flip = streams.receiver.random()
+    flip = resent_flip if transmit(channel.T, link_u) and qubit[1] != z else coin
     error = bool(run_type2_slot(sent_bit, z, qubit, channel, link_u, coin, flip))
     # The dummy return: its basis and bit, then its transmission.
     measurement()

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import os
@@ -280,6 +281,33 @@ def test_failed_run_leaves_out_file_untouched(tmp_path):
     assert prior.read_text().startswith("check,result\n") and ",fail" in prior.read_text()
 
 
+def test_out_write_that_fails_part_way_leaves_the_file_untouched(tmp_path, monkeypatch, capsys):
+    # The CSV once went straight into --out, truncating it before the write.
+    prior = tmp_path / "prior.csv"
+    prior.write_bytes(b"keep\r\n\x00tail")
+    write_text = Path.write_text
+
+    def full_disk(path, data, *args, **kwargs):
+        write_text(path, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    code, text = run_cli("simulate", "--K", "200", "--H2", "10", "--H3", "10", "--out", str(prior))
+    monkeypatch.undo()
+    assert (code, text) == (EXIT_CONFIG_ERROR, "")
+    assert capsys.readouterr().err.startswith("error: option '--out': ")
+    assert prior.read_bytes() == b"keep\r\n\x00tail"
+    assert list(tmp_path.iterdir()) == [prior]  # no temporary file left behind
+
+
+def test_out_file_gets_the_mode_of_a_plain_write(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text("")
+    target = tmp_path / "run.csv"
+    assert run_cli("figure2", "--steps", "3", "--out", str(target)) == (EXIT_OK, "")
+    assert target.stat().st_mode == plain.stat().st_mode
+
+
 def test_readme_lists_the_keys_each_command_reads():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("### Config files", 1)[1]
@@ -366,9 +394,11 @@ def test_simulate_reversed_pairs_are_distinct():
 # sha256 of stdout for seeded runs, recorded before the schedule became
 # per-pair arrays: the schedule and the simulation must not move a draw.
 GOLDEN_SIMULATE_DIGESTS = {
+    # The two message-attack runs were re-pinned when a resent decoy's flip
+    # moved to the receiver stream; MESSAGE_ATTACK_TRIAL_CELLS holds what stayed put.
     "--K 400000 --H2 20000 --H3 20000 --loss-db 1.0 --gamma 0.01 --mu 0.01 --attack both "
     "--eta-path 0.5 --eta-msg 0.5 --seed 12345":
-        "d62b807893ff206257a8d33ef1e079f23f848e41078954a37e3957817517f221",
+        "8cc625e512977226bb6dc62b5ac6041ff2eacd7c7ca257cc50b7d5728836763f",
     "--num-nodes 17 --pairs " + ",".join(f"0-{i}" for i in range(1, 17))
     + " --K 50000 --H2 6000 --H3 6000 --T 0.8 --gamma 0.01 --mu 0.01 --traffic silent"
     " --seed 12345":
@@ -377,7 +407,7 @@ GOLDEN_SIMULATE_DIGESTS = {
         "423f1b6cb8713defccbe0ebafdee74532247d624222e285628d604ca56d6d2e2",
     "--K 21 --H2 5 --H3 6 --num-nodes 3 --pairs 0-1,1-0,2-1 --attack message --eta-msg 1 "
     "--seed 1":
-        "18267a185e924c836995a9105d7060bf7cfb5b88b5a85773bd695f34acec4861",
+        "107f1ef0e5e0b9926ea8e63eddff2ca6d587f83e8eb33198264514e5e3852ef3",
     "--K 1 --H2 0 --H3 1 --seed 2":
         "94652b477019dafe6574d9c1cc3ee478c9c372729383a6ef0f34bcfd927d60c2",
     "--K 1 --H2 0 --H3 0 --seed 2":
@@ -394,6 +424,28 @@ def test_simulate_output_matches_golden_digests():
         assert code == EXIT_OK, args
         digests[args] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == GOLDEN_SIMULATE_DIGESTS
+
+
+# The cells of the two message-attack digests that no draw feeds, recorded
+# before they were re-pinned for the receiver stream: pair, type2_trials, type3_trials.
+MESSAGE_ATTACK_TRIAL_CELLS = {
+    "--K 400000 --H2 20000 --H3 20000 --loss-db 1.0 --gamma 0.01 --mu 0.01 --attack both "
+    "--eta-path 0.5 --eta-msg 0.5 --seed 12345":
+        [("0-1", "20000", "20000")],
+    "--K 21 --H2 5 --H3 6 --num-nodes 3 --pairs 0-1,1-0,2-1 --attack message --eta-msg 1 "
+    "--seed 1":
+        [("0-1", "5", "6"), ("1-0", "5", "6"), ("2-1", "5", "6")],
+}
+
+
+def test_repinned_message_attack_runs_keep_their_trial_cells():
+    for args, expected in MESSAGE_ATTACK_TRIAL_CELLS.items():
+        assert args in GOLDEN_SIMULATE_DIGESTS
+        code, text = run_cli("simulate", *args.split())
+        assert code == EXIT_OK, args
+        header, *rows = (line.split(",") for line in text.split("\n\n")[0].splitlines())
+        columns = [header.index(name) for name in ("pair", "type2_trials", "type3_trials")]
+        assert [tuple(row[i] for i in columns) for row in rows] == expected, args
 
 
 # sha256 of stdout for the other commands, recorded before they shared the

@@ -9,13 +9,16 @@
   reports 0 Type 2 and 0 Type 3 errors, whatever the draws.
 - Without a message attack, the path rate moves no Type 2 error and no
   delivered payload: a path tap reads no channel or measurement uniform.
+- Without a path attack, the message rate moves no Type 3 trial or error and
+  no payload count: a message tap reads only Eve's stream, and a resent
+  decoy's flip comes from the receiver's own stream.
 """
 
 from __future__ import annotations
 
 import io
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from decoyroute.adversary import AttackConfig
@@ -104,14 +107,11 @@ def test_a_perfect_link_without_an_attack_makes_no_decoy_err(flags, pairs):
         assert [cells[i] for i in errors] == ["0", "0"], row
 
 
-@SETTINGS
-@given(
-    runs(),
-    node_pairs,
-    st.lists(unit, min_size=2, max_size=2),
-)
-def test_eta_path_moves_no_type2_error_and_no_delivery(flags, pairs, eta_paths):
-    # The library run of the same flags: the CSV has no delivered-payload column.
+def library_runs(flags: list[str], pairs, attacks: list[AttackConfig]) -> list[list]:
+    """The pairs of the library run of ``flags`` under each attack in turn.
+
+    The CSV has no delivered-payload column, so the laws read the library.
+    """
     value = dict(flag[2:].split("=") for flag in flags)
     kwargs = dict(
         K=int(value["K"]), node_pairs=pairs, h2_per_pair=int(value["H2"]),
@@ -119,13 +119,42 @@ def test_eta_path_moves_no_type2_error_and_no_delivery(flags, pairs, eta_paths):
         channel=ChannelModel(T=float(value["T"]), gamma=float(value["gamma"]),
                              mu=float(value["mu"])),
     )
+    return [run_simulation(attack=attack, **kwargs).pairs for attack in attacks]
+
+
+@SETTINGS
+@given(
+    runs(),
+    node_pairs,
+    st.lists(unit, min_size=2, max_size=2),
+)
+def test_eta_path_moves_no_type2_error_and_no_delivery(flags, pairs, eta_paths):
+    outcomes = [
+        [(pair.stats.type2_errors, pair.type1_delivered) for pair in run]
+        for run in library_runs(flags, pairs, [AttackConfig(eta_path=eta) for eta in eta_paths])
+    ]
+    assert outcomes[0] == outcomes[1]
+
+
+@SETTINGS
+@given(
+    runs(),
+    node_pairs,
+    st.lists(unit, min_size=2, max_size=2),
+)
+@example(
+    ["--K=4000", "--H2=200", "--H3=200", "--seed=12345", "--T=0.8", "--gamma=0.05",
+     "--mu=0.02", "--traffic=full"],
+    [(0, 1)],
+    [0.0, 0.5],
+)
+def test_eta_msg_moves_no_type3_outcome_and_no_payload_count(flags, pairs, eta_msgs):
     outcomes = [
         [
-            (pair.stats.type2_errors, pair.type1_delivered)
-            for pair in run_simulation(
-                attack=AttackConfig(eta_path=eta_path), **kwargs
-            ).pairs
+            (pair.stats.type3_trials, pair.stats.type3_errors, pair.type1_slots,
+             pair.type1_delivered)
+            for pair in run
         ]
-        for eta_path in eta_paths
+        for run in library_runs(flags, pairs, [AttackConfig(eta_msg=eta) for eta in eta_msgs])
     ]
     assert outcomes[0] == outcomes[1]

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from statistics import NormalDist
 
 import numpy as np
@@ -125,6 +128,30 @@ def test_log_factorial_table_does_not_depend_on_its_history(monkeypatch):
         grown = overhead._log_factorials(n)
     assert np.array_equal(grown, one_shot)
     assert exact_escape_prob(10_000_000, 93, 1_000_000) == escape
+
+
+def test_log_factorial_table_is_safe_to_grow_from_threads(monkeypatch):
+    # Each caller reads the shared table once: a caller whose read straddled
+    # another's growth once got a shape error or a table too short for its n.
+    sizes = [70_000 * (i + 1) + i for i in range(8)]
+    monkeypatch.setattr(overhead, "_log_fact_table", np.zeros(1))
+    serial = overhead._log_factorials(max(sizes))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so the reads interleave
+    try:
+        with ThreadPoolExecutor(len(sizes)) as pool:
+            for _ in range(40):
+                overhead._log_fact_table = np.zeros(1)
+                start = threading.Barrier(len(sizes), timeout=30)
+
+                def grow(n):
+                    start.wait()
+                    return overhead._log_factorials(n)
+
+                for n, table in zip(sizes, pool.map(grow, sizes, timeout=60)):
+                    assert np.array_equal(table[: n + 1], serial[: n + 1]), n
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_log_factorial_growth_allocates_only_the_table(monkeypatch):

@@ -336,7 +336,16 @@ def test_run_simulation_attack_mode_does_not_shift_channel_noise():
     assert quiet.pairs[0].stats.type3_errors == noisy.pairs[0].stats.type3_errors
 
 
-STREAM_NAMES = ("channel", "measurement", "eve")
+def test_stream_ids_are_pinned_and_distinct():
+    # Changing an id re-rolls every seeded output that reads its stream.
+    assert seeding.STREAM_IDS == {
+        "schedule": 0, "channel": 1, "eve": 2, "measurement": 3, "receiver": 5,
+    }
+    assert len(set(seeding.STREAM_IDS.values())) == len(seeding.STREAM_IDS)
+
+
+# A pair reads every stream but the schedule's, which is drawn once per run.
+STREAM_NAMES = tuple(name for name in seeding.STREAM_IDS if name != "schedule")
 
 
 @pytest.mark.parametrize("pair_index", [0, 5])
@@ -374,14 +383,16 @@ def test_inline_payload_runner_draws_what_the_kernels_draw(
     at = 0
     for _ in range(n):
         at = run_type1_slot(at, draws["eve"], attack.eta_msg)
-    next_draws = [draws["channel"][2 * n], draws["measurement"][3 * n], draws["eve"][at]]
+    # Payloads read no receiver uniform.
+    reads = {"channel": 2 * n, "measurement": 3 * n, "eve": at, "receiver": 0}
+    next_draws = {name: draws[name][reads[name]] for name in STREAM_NAMES}
     tally = (pair.type1_slots, pair.type1_delivered, pair.eve_learned_type1)
     runs = [(tally, oracles.ledger_rows(ledger), next_draws)]
 
     streams = oracles.Streams.from_seed(43) if block_draws else raw_streams(43)
     eve = Eavesdropper(attack)
     tally = oracles.run_pair_by_slot(2 * n, 0, 1, NO_DECOYS, channel, eve, 43, 0, "full", streams)
-    next_draws = [getattr(streams, name).random() for name in STREAM_NAMES]
+    next_draws = {name: getattr(streams, name).random() for name in STREAM_NAMES}
     runs.append((tally[1:], oracles.ledger_rows(eve.ledger), next_draws))
     assert runs[0] == runs[1]
     assert bool(ledger.learned_endpoints) == bool(mask[0])
