@@ -11,14 +11,16 @@ probability is a hypergeometric average of (1/2)^hits.  This module
 computes that quantity exactly (in log space, as falling factorials of
 length min(H3, m), so in time and memory that do not grow with K; the
 length stops at 1e6), via the closed-form upper bound
-((K - H3)/K + H3 / (2(1 - eta)K))^(eta K), and by Monte Carlo; and it
-sizes the decoy counts needed to push the escape probability below a
-target.
+((K - H3)/K + H3 / (2(1 - eta)K))^(eta K), and by Monte Carlo, which
+draws each trial's overlap by inversion of one ``Generator.random``
+uniform; and it sizes the decoy counts needed to push the escape
+probability below a target.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,30 +29,31 @@ from .errors import InputError, check_at_least, check_cycles, check_in
 
 _LOG_HALF = math.log(0.5)
 _CHUNK = 1 << 16  # Monte-Carlo trials, or log-factorial entries, per step
-# numpy's bound on each population of a hypergeometric draw.
-MC_POPULATION_LIMIT = 10**9
 MAX_OVERLAP = 10**6  # largest min(H3, m): the exact sum needs about 64 B per unit of it
 
 _log_fact_table = np.zeros(1)
+_log_fact_lock = threading.Lock()
 
 
 def _log_factorials(n: int) -> np.ndarray:
     """Cached table of log(k!) for k = 0..n, grown chunk by chunk with no n-sized temporary.
 
-    Entry k is the float sum log 1 + ... + log k in order, whatever was built before."""
+    Entry k is the float sum log 1 + ... + log k in order, whatever was built before.
+    One caller at a time reads or grows it, so the shared table only ever gets longer."""
     global _log_fact_table
-    table = _log_fact_table  # read once: a concurrent caller may swap the global
-    old = len(table)
-    if old <= n:
-        grown = np.empty(n + 1)
-        grown[:old] = table
-        for start in range(old, n + 1, _CHUNK):
-            chunk = grown[start : start + _CHUNK]
-            chunk[:] = np.arange(start, start + len(chunk))
-            np.log(chunk, out=chunk)
-            chunk[0] += grown[start - 1]
-            np.cumsum(chunk, out=chunk)
-        _log_fact_table = table = grown
+    with _log_fact_lock:
+        table = _log_fact_table
+        old = len(table)
+        if old <= n:
+            grown = np.empty(n + 1)
+            grown[:old] = table
+            for start in range(old, n + 1, _CHUNK):
+                chunk = grown[start : start + _CHUNK]
+                chunk[:] = np.arange(start, start + len(chunk))
+                np.log(chunk, out=chunk)
+                chunk[0] += grown[start - 1]
+                np.cumsum(chunk, out=chunk)
+            _log_fact_table = table = grown
     return table
 
 
@@ -190,28 +193,69 @@ def montecarlo_escape(
 
     The overlap of a uniform m-subset of the K slots with the H3 decoys is
     Hypergeometric(H3, K - H3, m) whichever subset the decoys hold, so each
-    trial draws that overlap directly and scores (1/2)^overlap.  Trials run
-    in fixed chunks: time is O(trials) and memory O(chunk) for every K.
+    trial draws that overlap by inversion, from one ``Generator.random``
+    uniform and the law's weights (:func:`_overlap_weights`), and scores
+    (1/2)^overlap.  The weights come from a ratio recurrence, not from the
+    exact sum's terms, so the estimate stays an independent check of
+    :func:`exact_escape_prob`.  Trials run in fixed chunks: time is
+    O(trials + min(H3, m)) and memory O(chunk + min(H3, m)) for every K.
     """
     check_escape(K, H3, m_intercepted, trials)
     if H3 == 0 or m_intercepted == 0:
         return 1.0, 0.0
 
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(min(H3, m_intercepted) + 1, dtype=np.int64)
-    for done in range(0, trials, _CHUNK):
-        overlap = rng.hypergeometric(H3, K - H3, m_intercepted, min(_CHUNK, trials - done))
-        counts += np.bincount(overlap, minlength=len(counts))
+    counts = _overlap_counts(K, H3, m_intercepted, trials, seed)
     scores = 0.5 ** np.arange(len(counts))
     estimate = float(counts @ scores / trials)
     variance = float(counts @ (scores - estimate) ** 2) / max(1, trials - 1)  # 0 at one trial
     return estimate, math.sqrt(variance / trials)
 
 
+def _overlap_weights(K: int, H3: int, m_intercepted: int) -> tuple[int, np.ndarray]:
+    """Unnormalised Hypergeometric(H3, K - H3, m) weights, as (first overlap, weights).
+
+    With n = min(H3, m) and big = max(H3, m), the mode has weight 1 and the
+    others follow outward from it by the ratio
+    p(j + 1) / p(j) = (n - j)(big - j) / ((j + 1)(K - big - n + j + 1)),
+    summed as logs.  Weights that underflow to 0 are dropped; the law is
+    log-concave, so the rest are the overlaps from the first one on.
+    """
+    n, big = min(H3, m_intercepted), max(H3, m_intercepted)
+    j_lo = max(0, n - (K - big))
+    split = (n + 1) * (big + 1) // (K + 2) - j_lo  # the mode, from j_lo
+    j = np.arange(j_lo, n, dtype=float)
+    log_ratio = np.log((n - j) * (big - j) / ((j + 1) * (K - big - n + 1 + j)))
+    log_w = np.zeros(n - j_lo + 1)
+    np.cumsum(log_ratio[split:], out=log_w[split + 1 :])
+    log_w[:split] = -np.cumsum(log_ratio[:split][::-1])[::-1]
+    weights = np.exp(log_w, out=log_w)
+    kept = np.flatnonzero(weights)
+    return j_lo + int(kept[0]), weights[kept[0] : kept[-1] + 1]
+
+
+def _overlap_counts(K: int, H3: int, m_intercepted: int, trials: int, seed: int) -> np.ndarray:
+    """How many of ``trials`` overlap draws fell on each j = 0..min(H3, m).
+
+    Each uniform, scaled by the total weight, lands in the bin whose
+    cumulative weight first exceeds it; searching the inner edges only
+    keeps a uniform that rounds up to the total in the last bin.
+    """
+    start, weights = _overlap_weights(K, H3, m_intercepted)
+    cdf = np.cumsum(weights)
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(min(H3, m_intercepted) + 1, dtype=np.int64)
+    support = counts[start : start + len(cdf)]
+    for done in range(0, trials, _CHUNK):
+        u = rng.random(min(_CHUNK, trials - done))
+        u *= cdf[-1]
+        support += np.bincount(np.searchsorted(cdf[:-1], u, side="right"), minlength=len(cdf))
+    return counts
+
+
 def check_escape(K: int, H3: int, m_intercepted: int, trials: int | None = None) -> None:
     """The escape functions' rules: ``1 <= K < 2**63``, ``H3`` and ``m_intercepted`` in [0, K],
     the smaller at most ``MAX_OVERLAP``; with ``trials``, :func:`montecarlo_escape`'s: a trial
-    at least, populations below 1e9."""
+    at least."""
     check_cycles(K, 1)
     check_in("H3", H3, 0, K)
     check_in("m_intercepted", m_intercepted, 0, K)
@@ -221,8 +265,6 @@ def check_escape(K: int, H3: int, m_intercepted: int, trials: int | None = None)
         raise InputError(name, f"must be at most {MAX_OVERLAP} as the smaller of H3 and m, got {n}")
     if trials is not None:
         check_at_least("trials", trials, 1)
-        if H3 and m_intercepted and max(H3, K - H3) >= MC_POPULATION_LIMIT:
-            raise InputError("K", f"must keep H3 and K - H3 below 1e9, got {K}")
 
 
 def check_overhead(K: int, epsilon: float, eta_max: float) -> None:
