@@ -5,7 +5,9 @@ so a measured disturbance D implies an intercepted fraction of up to 2D.
 Each learned payload additionally exposes the error-correction expansion of
 the message, a factor 1 + h(e) at the Shannon limit, giving the leaked
 traffic fraction g = 2D(1 + h(e)), capped at one.  Loss feeds both D and e,
-which is why the leak grows with channel loss even without an attacker.
+so the leak grows with channel loss even without an attacker.  A lost leg
+makes the readout the receiver's coin: D3 = gamma T^2 + (1 - T^2)/2 when
+both arms lose T; a lossless home arm would give (1 - T)/2 at gamma = 0.
 """
 
 from __future__ import annotations

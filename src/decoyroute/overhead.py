@@ -13,8 +13,8 @@ length min(H3, m), so in time and memory that do not grow with K; the
 length stops at 1e6), via the closed-form upper bound
 ((K - H3)/K + H3 / (2(1 - eta)K))^(eta K), and by Monte Carlo, which
 draws each trial's overlap by inversion of one ``Generator.random``
-uniform; and it sizes the decoy counts needed to push the escape
-probability below a target.
+uniform through a cell table; and it sizes the decoy counts needed to
+push the escape probability below a target.
 """
 
 from __future__ import annotations
@@ -198,14 +198,14 @@ def montecarlo_escape(
     (1/2)^overlap.  The weights come from a ratio recurrence, not from the
     exact sum's terms, so the estimate stays an independent check of
     :func:`exact_escape_prob`.  Trials run in fixed chunks: time is
-    O(trials + min(H3, m)) and memory O(chunk + min(H3, m)) for every K.
+    O(trials + n) and memory O(chunk + sqrt(n log n)), n = min(H3, m), for every K.
     """
     check_escape(K, H3, m_intercepted, trials)
     if H3 == 0 or m_intercepted == 0:
         return 1.0, 0.0
 
-    counts = _overlap_counts(K, H3, m_intercepted, trials, seed)
-    scores = 0.5 ** np.arange(len(counts))
+    start, counts = _overlap_counts(K, H3, m_intercepted, trials, seed)
+    scores = 0.5 ** np.arange(start, start + len(counts))
     estimate = float(counts @ scores / trials)
     variance = float(counts @ (scores - estimate) ** 2) / max(1, trials - 1)  # 0 at one trial
     return estimate, math.sqrt(variance / trials)
@@ -218,14 +218,18 @@ def _overlap_weights(K: int, H3: int, m_intercepted: int) -> tuple[int, np.ndarr
     others follow outward from it by the ratio
     p(j + 1) / p(j) = (n - j)(big - j) / ((j + 1)(K - big - n + j + 1)),
     summed as logs.  Weights that underflow to 0 are dropped; the law is
-    log-concave, so the rest are the overlaps from the first one on.
+    log-concave, so the rest are the overlaps from the first one on.  Past
+    ``reach`` from the mode a weight is below (n + 1) exp(-2 t^2 / n) < exp(-760)
+    at t from the mean (Hoeffding 1963), so those are never summed.
     """
     n, big = min(H3, m_intercepted), max(H3, m_intercepted)
-    j_lo = max(0, n - (K - big))
-    split = (n + 1) * (big + 1) // (K + 2) - j_lo  # the mode, from j_lo
-    j = np.arange(j_lo, n, dtype=float)
+    mode = (n + 1) * (big + 1) // (K + 2)
+    reach = 2 + math.ceil(math.sqrt(n / 2 * (760 + math.log(n + 1))))
+    j_lo = max(0, n - (K - big), mode - reach)
+    j = np.arange(j_lo, min(n, mode + reach), dtype=float)
     log_ratio = np.log((n - j) * (big - j) / ((j + 1) * (K - big - n + 1 + j)))
-    log_w = np.zeros(n - j_lo + 1)
+    log_w = np.zeros(len(j) + 1)
+    split = mode - j_lo
     np.cumsum(log_ratio[split:], out=log_w[split + 1 :])
     log_w[:split] = -np.cumsum(log_ratio[:split][::-1])[::-1]
     weights = np.exp(log_w, out=log_w)
@@ -233,23 +237,32 @@ def _overlap_weights(K: int, H3: int, m_intercepted: int) -> tuple[int, np.ndarr
     return j_lo + int(kept[0]), weights[kept[0] : kept[-1] + 1]
 
 
-def _overlap_counts(K: int, H3: int, m_intercepted: int, trials: int, seed: int) -> np.ndarray:
-    """How many of ``trials`` overlap draws fell on each j = 0..min(H3, m).
+def _overlap_counts(K: int, H3: int, m: int, trials: int, seed: int) -> tuple[int, np.ndarray]:
+    """How many of ``trials`` overlap draws fell on each overlap, as (first overlap, counts).
 
-    Each uniform, scaled by the total weight, lands in the bin whose
-    cumulative weight first exceeds it; searching the inner edges only
-    keeps a uniform that rounds up to the total in the last bin.
+    Each uniform u, scaled by the total weight, lands in the bin whose
+    cumulative weight first exceeds it, or the last bin if it rounds up to
+    the total.  A cell table (Chen & Asau 1974) skips most searches: u and
+    each edge x fall in cell floor(x * scale), a monotone map, so a cell that
+    holds no edge lies in one bin, the count of edges in earlier cells.  Only
+    the uniforms in cells that hold an edge are searched: the counts are exact.
     """
-    start, weights = _overlap_weights(K, H3, m_intercepted)
+    start, weights = _overlap_weights(K, H3, m)
     cdf = np.cumsum(weights)
+    cells = min(_CHUNK, 64 * len(cdf))  # u * scale may round up to cells itself
+    scale = cells / cdf[-1]
+    edge_cells = (cdf[:-1] * scale).astype(np.intp)
+    mixed = np.bincount(edge_cells, minlength=cells + 1) > 0
+    counts, per_cell = np.zeros(len(cdf), np.int64), np.zeros(cells + 1, np.int64)
     rng = np.random.default_rng(seed)
-    counts = np.zeros(min(H3, m_intercepted) + 1, dtype=np.int64)
-    support = counts[start : start + len(cdf)]
     for done in range(0, trials, _CHUNK):
         u = rng.random(min(_CHUNK, trials - done))
         u *= cdf[-1]
-        support += np.bincount(np.searchsorted(cdf[:-1], u, side="right"), minlength=len(cdf))
-    return counts
+        cell = np.multiply(u, scale, out=np.empty(len(u), np.intp), casting="unsafe")  # floor
+        per_cell += np.bincount(cell, minlength=cells + 1)
+        counts += np.bincount(cdf[:-1].searchsorted(u[mixed[cell]], "right"), minlength=len(cdf))
+    np.add.at(counts, np.searchsorted(edge_cells, np.flatnonzero(~mixed)), per_cell[~mixed])
+    return start, counts
 
 
 def check_escape(K: int, H3: int, m_intercepted: int, trials: int | None = None) -> None:

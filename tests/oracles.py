@@ -2,8 +2,12 @@
 
 Everything here is computed from first principles (amplitude tables,
 exhaustive enumeration, density matrices, grid scans) without touching the
-code paths under test.  Two exceptions check only what is built around
-the library's kernels.  ``scalar_tradeoff_scatter`` draws its own
+code paths under test.  Four exceptions check only what is built around
+the library's kernels.  ``overlap_weights_over_every_overlap`` sums the
+library's overlap-weight recurrence over every overlap rather than a
+window, so it checks only the window.  ``overlap_counts_by_search`` bins
+the library's own overlap weights by a plain search, so it checks only the
+binning.  ``scalar_tradeoff_scatter`` draws its own
 unitaries and probes one sample at a time, and then calls the library's
 per-sample kernels, so it checks only the batching around them.
 ``run_pair_by_slot`` runs a pair one slot at a time, reading every uniform
@@ -20,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from decoyroute import seeding
+from decoyroute import overhead, seeding
 from decoyroute.adversary import decide_intercept, intercept_message, intercept_path
 from decoyroute.channel import transmit
 from decoyroute.protocol import DisturbanceStats, run_type2_slot, run_type3_slot
@@ -177,6 +181,47 @@ def subset_escape_montecarlo(
         values[done : done + n] = 0.5**overlap
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(values.mean()), stderr
+
+
+def overlap_weights_over_every_overlap(K: int, H3: int, m: int) -> tuple[int, np.ndarray]:
+    """``overhead._overlap_weights`` with the ratios summed over every overlap, not a window.
+
+    The mode has weight 1; the others follow outward from it by cumulative
+    sums of log(p(j + 1) / p(j)) over all of j_lo..n, in the same order as
+    the library's, and the weights that underflow to 0 are dropped.
+    """
+    n, big = min(H3, m), max(H3, m)
+    j_lo = max(0, n - (K - big))
+    split = (n + 1) * (big + 1) // (K + 2) - j_lo
+    j = np.arange(j_lo, n, dtype=float)
+    log_ratio = np.log((n - j) * (big - j) / ((j + 1) * (K - big - n + 1 + j)))
+    log_w = np.zeros(n - j_lo + 1)
+    np.cumsum(log_ratio[split:], out=log_w[split + 1 :])
+    log_w[:split] = -np.cumsum(log_ratio[:split][::-1])[::-1]
+    weights = np.exp(log_w)
+    kept = np.flatnonzero(weights)
+    return j_lo + int(kept[0]), weights[kept[0] : kept[-1] + 1]
+
+
+def overlap_counts_by_search(K: int, H3: int, m: int, trials: int, seed: int) -> np.ndarray:
+    """How many of ``trials`` overlap draws fell on each j = 0..min(H3, m), by search alone.
+
+    Reads the same uniforms as ``overhead._overlap_counts``: one
+    ``Generator.random`` draw per trial, in chunks of ``overhead._CHUNK``.
+    Each, scaled by the total weight, lands in the bin whose cumulative
+    weight first exceeds it; searching the inner edges only keeps a
+    uniform that rounds up to the total in the last bin.
+    """
+    start, weights = overhead._overlap_weights(K, H3, m)
+    cdf = np.cumsum(weights)
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(min(H3, m) + 1, dtype=np.int64)
+    support = counts[start : start + len(cdf)]
+    for done in range(0, trials, overhead._CHUNK):
+        u = rng.random(min(overhead._CHUNK, trials - done))
+        u *= cdf[-1]
+        support += np.bincount(np.searchsorted(cdf[:-1], u, side="right"), minlength=len(cdf))
+    return counts
 
 
 def scalar_tradeoff_scatter(samples: int, d: int, seed: int) -> list[tuple[float, float]]:

@@ -48,6 +48,12 @@ def test_entropy_rejects_out_of_range():
         binary_entropy(1.01)
 
 
+def test_baseline_disturbance_loses_a_photon_on_both_arms():
+    # A lost leg turns the readout into a coin, with T per leg: (1 - T^2)/2 at
+    # gamma = 0.  A lossless home arm would give (1 - T)/2 = 0.05 here.
+    assert baseline_disturbance(0.0, 0.9) == pytest.approx(0.095, rel=1e-12)
+
+
 def test_baseline_disturbance_values():
     assert baseline_disturbance(0.01, 1.0) == pytest.approx(0.01)
     assert baseline_disturbance(0.37, 0.0) == 0.5

@@ -369,13 +369,16 @@ def test_overlap_and_subset_montecarlo_agree_with_exact_and_each_other():
 
 
 def test_montecarlo_memory_does_not_grow_with_K():
-    tracemalloc.start()
-    try:
-        montecarlo_escape(10**8, 93, 10**7, 10**6, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20, peak
+    # The second case has the widest support a valid input allows: about
+    # 29,000 overlaps keep a weight that does not underflow, of min(H3, m) = 1e6.
+    for K, H3, m in [(10**8, 93, 10**7), (4 * 10**6, 10**6, 10**6)]:
+        tracemalloc.start()
+        try:
+            montecarlo_escape(K, H3, m, 10**6, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (K, H3, m, peak)
 
 
 def test_montecarlo_single_trial_scores_a_power_of_half():
@@ -431,6 +434,17 @@ def test_overlap_weights_are_the_exact_law_at_large_k(K, H3, m):
     assert law == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+# Each case sums the ratios over a window narrower than min(H3, m) + 1.
+@pytest.mark.parametrize("K, H3, m", [(4 * 10**6, 10**6, 10**6), (2 * 10**6, 10**6, 10**6),
+                                      (3 * 10**6, 10**6, 2 * 10**6), (10**6, 5 * 10**5, 10**6 - 1),
+                                      (2**62, 10**6, 2**61), (10**6, 3 * 10**5, 5 * 10**5)])
+def test_overlap_weights_sum_only_a_window_and_keep_every_weight(K, H3, m):
+    start, weights = overhead._overlap_weights(K, H3, m)
+    expected_start, expected = oracles.overlap_weights_over_every_overlap(K, H3, m)
+    assert start == expected_start
+    assert np.array_equal(weights, expected)
+
+
 def test_overlap_weights_drop_the_underflowing_tails():
     # At K = 4e6 and H3 = m = 1e6 the overlap sits near 2.5e5 with a spread
     # of a few hundred; the weights of overlaps far from it underflow.
@@ -440,13 +454,21 @@ def test_overlap_weights_drop_the_underflowing_tails():
     assert weights.min() > 0.0 and weights.max() == 1.0
 
 
+def _overlap_counts_by_table(K, H3, m, trials, seed):
+    # The library's counts over its support, laid out on j = 0..min(H3, m).
+    start, support = overhead._overlap_counts(K, H3, m, trials, seed)
+    counts = np.zeros(min(H3, m) + 1, dtype=np.int64)
+    counts[start : start + len(support)] = support
+    return counts
+
+
 # A G-test of the sampled overlaps against scipy's law, pooling each tail
 # into the nearest cell expected to hold 5 draws; family-wise false-failure
 # probability 1e-6 over the two cases.
 @pytest.mark.parametrize("K, H3, m, seed", [(100, 20, 20, 31), (10**7, 93, 10**6, 32)])
 def test_sampled_overlaps_follow_the_hypergeometric_law(K, H3, m, seed):
     trials = 1_000_000
-    observed = overhead._overlap_counts(K, H3, m, trials, seed)
+    observed = _overlap_counts_by_table(K, H3, m, trials, seed)
     expected = trials * stats.hypergeom(K, H3, m).pmf(np.arange(len(observed)))
     lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]
     cells = [np.r_[a[: lo + 1].sum(), a[lo + 1 : hi], a[hi:].sum()] for a in (observed, expected)]
@@ -454,6 +476,75 @@ def test_sampled_overlaps_follow_the_hypergeometric_law(K, H3, m, seed):
     hits = observed > 0
     g = 2 * float(observed[hits] @ np.log(observed[hits] / expected[hits]))
     assert g <= stats.chi2.isf(1e-6 / 2, len(observed) - 1), (g, len(observed))
+
+
+def test_cell_table_counts_equal_the_search_for_every_small_case():
+    seed = 0
+    for K in range(1, 13):
+        for H3 in range(K + 1):
+            for m in range(K + 1):
+                seed += 1
+                table = _overlap_counts_by_table(K, H3, m, 300, seed)
+                search = oracles.overlap_counts_by_search(K, H3, m, 300, seed)
+                assert np.array_equal(table, search), (K, H3, m)
+
+
+LARGE_OVERLAP_CASES = [(100, 20, 20), (10**7, 93, 10**6), (10**12, 93, 10**11),
+                       (4 * 10**6, 10**6, 10**6)]
+
+
+@pytest.mark.parametrize("K, H3, m", LARGE_OVERLAP_CASES)
+@pytest.mark.parametrize("trials", [1, overhead._CHUNK - 1, overhead._CHUNK + 1])
+def test_cell_table_counts_equal_the_search_at_large_k(K, H3, m, trials):
+    table = _overlap_counts_by_table(K, H3, m, trials, 41)
+    assert np.array_equal(table, oracles.overlap_counts_by_search(K, H3, m, trials, 41))
+    assert table.sum() == trials
+
+
+class ReplayedUniforms:
+    """A generator stand-in whose ``random`` replays fixed values, in order."""
+
+    def __init__(self, values):
+        self._values = values
+        self._next = 0
+
+    def random(self, size):
+        taken = self._values[self._next : self._next + size]
+        self._next += size
+        return taken.copy()
+
+
+# At (6, 2, 2) the largest uniform scales into the cell past the last one,
+# which the table keeps; (7, 7, 3) and (5, 2, 5) have one overlap only.
+@pytest.mark.parametrize(
+    "K, H3, m", LARGE_OVERLAP_CASES + [(12, 5, 4), (6, 2, 2), (7, 7, 3), (5, 2, 5)]
+)
+def test_cell_table_bins_uniforms_at_the_edges_as_the_search_does(K, H3, m, monkeypatch):
+    # 0, the largest uniform below 1, and every inner edge over the total
+    # with its two float neighbours: the uniforms that land in, or next to,
+    # a cell that holds an edge.  Ratios that round to 1 become the largest
+    # uniform, as ``random`` never returns 1.
+    cdf = np.cumsum(overhead._overlap_weights(K, H3, m)[1])
+    at_edges = cdf[:-1] / cdf[-1]
+    values = np.concatenate([[0.0, 1.0], at_edges,
+                             np.nextafter(at_edges, 0.0), np.nextafter(at_edges, 1.0)])
+    values = np.minimum(values, 1.0 - 2.0**-53)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ReplayedUniforms(values))
+    table = _overlap_counts_by_table(K, H3, m, len(values), 0)
+    assert np.array_equal(table, oracles.overlap_counts_by_search(K, H3, m, len(values), 0))
+    assert table.sum() == len(values)
+
+
+# The Monte-Carlo digests hang on exact uniform values, and this is the one
+# numpy behaviour they read: each double is the top 53 bits of a PCG64 output.
+@pytest.mark.parametrize("seed", [0, 3, 12345, 2**63 + 7])
+def test_generator_random_is_the_top_53_bits_of_pcg64(seed):
+    sizes = [1, overhead._CHUNK - 1, overhead._CHUNK + 1, 7, overhead._CHUNK]
+    rng = np.random.default_rng(seed)
+    bits = np.random.PCG64(seed)
+    for size in sizes:
+        expected = (bits.random_raw(size) >> np.uint64(11)) * 2.0**-53
+        assert np.array_equal(rng.random(size), expected), (seed, size)
 
 
 def test_montecarlo_draws_only_through_generator_random(monkeypatch):
